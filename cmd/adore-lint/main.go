@@ -166,10 +166,7 @@ func lintRun(build *compiler.BuildResult, advisory bool) (rejected, pool []verif
 	if err := code.AddSegment(seg); err != nil {
 		return nil, nil, nil, err
 	}
-	mem := memsys.NewMemory()
-	if img.InitData != nil {
-		img.InitData(mem)
-	}
+	mem := img.NewMemory()
 	hier := memsys.NewHierarchy(memsys.DefaultConfig())
 	ccfg := core.DefaultConfig()
 	ccfg.Verify = true

@@ -47,8 +47,7 @@ func main() {
 	seg := &program.Segment{Name: img.Name, Base: img.Code.Base,
 		Bundles: append([]isa.Bundle{}, img.Code.Bundles...)}
 	fatal(code.AddSegment(seg))
-	mem := memsys.NewMemory()
-	img.InitData(mem)
+	mem := img.NewMemory() // an image without InitData gets an empty memory
 	hier := memsys.NewHierarchy(memsys.DefaultConfig())
 	ccfg := core.DefaultConfig()
 	ccfg.Observe = observe

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -330,5 +331,67 @@ func TestRunLoopZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("run loop allocates %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestRunLoopAllocsObserved extends TestRunLoopZeroAllocs to the layers
+// the harness switches on for observation and telemetry: CPI-stack
+// accounting with a loop image and the cycle-sampling profiler. Neither
+// allocates per executed bundle or per sample. Each allocates once per
+// distinct loop it attributes cycles to and once per distinct bundle it
+// samples, so their allocations are bounded by code size, not run length.
+func TestRunLoopAllocsObserved(t *testing.T) {
+	const base, n = 0x10000, 256
+	b := sumLoop(base, n)
+	r, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := program.NewCodeSpace()
+	if err := cs.AddSegment(&program.Segment{Name: "main", Base: r.Base, Bundles: r.Bundles}); err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Accounting = true
+	c := New(cfg, cs, memsys.NewMemory(), memsys.NewHierarchy(memsys.DefaultConfig()), nil)
+	for i := 0; i < n; i++ {
+		c.Mem.WriteN(base+uint64(i*8), 8, uint64(i))
+	}
+	loopAddr, _ := r.AddrOf("loop")
+	c.SetImage(&program.Image{Name: "sumloop", Loops: []program.LoopInfo{
+		{ID: 1, Name: "loop", Head: loopAddr, BodyStart: loopAddr, BodyEnd: loopAddr + 2*isa.BundleBytes},
+	}})
+	c.EnableProfiler(97)
+	c.SetPC(r.Base)
+	// Prime once: first touches of simulated memory allocate pages, and
+	// the profiler's sample map grows to its final size.
+	run(t, c)
+
+	// As in testing.AllocsPerRun: one P keeps other goroutines' mallocs
+	// out of the count.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+
+	for i := 0; i < 3; i++ {
+		// Reset re-creates the accounting state (its map and the stack of
+		// code outside loops); the run itself starts after that.
+		c.Reset()
+		c.Hier.Reset()
+		c.SetPC(r.Base)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		st := run(t, c)
+		runtime.ReadMemStats(&after)
+
+		loops, cells := len(c.LoopAccounting()), len(c.ProfileSamples())
+		if loops < 2 || cells == 0 {
+			t.Fatalf("run attributed %d loops and sampled %d bundles; the check would be vacuous", loops, cells)
+		}
+		// Reset already made the outside-loops stack (-1); the run adds
+		// the others and one cell per sampled bundle.
+		want := uint64(loops - 1 + cells)
+		if got := after.Mallocs - before.Mallocs; got != want {
+			t.Fatalf("run of %d instructions allocated %d times, want %d (%d loops, %d sampled bundles)",
+				st.Retired, got, want, loops-1, cells)
+		}
 	}
 }

@@ -218,10 +218,7 @@ func runImage(ctx context.Context, img *program.Image, cfg RunConfig, probe *for
 		// continuations fan out from one warmup without copying the heap.
 		mem = resume.mem.Fork()
 	} else {
-		mem = memsys.NewMemory()
-		if img.InitData != nil {
-			img.InitData(mem)
-		}
+		mem = img.NewMemory()
 	}
 	hier := memsys.NewHierarchy(cfg.Hierarchy)
 

@@ -71,6 +71,8 @@ func FromImage(img *program.Image) (*Machine, error) {
 	if err := code.AddSegment(seg); err != nil {
 		return nil, err
 	}
+	// Deliberately not img.NewMemory: the differential then compares runs
+	// on forks of the sealed memory against independently initialized data.
 	mem := memsys.NewMemory()
 	if img.InitData != nil {
 		img.InitData(mem)

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/isa"
 	"repro/internal/memsys"
@@ -168,12 +169,19 @@ type Image struct {
 	Loops   []LoopInfo
 
 	// InitData populates simulated data memory before execution. It may
-	// be nil for pure register kernels.
+	// be nil for pure register kernels. Set it before the first NewMemory
+	// call: NewMemory runs it once and every later run forks that result,
+	// so a later change to InitData is never seen.
 	InitData func(m *memsys.Memory)
 
 	// BundleCount at build time; used for the normalized-binary-size
 	// column of Table 1.
 	BundleCount int
+
+	// The initialized data memory, built once by NewMemory and sealed.
+	// Images are always handled by pointer, so the Once is never copied.
+	dataOnce sync.Once
+	data     *memsys.Memory
 }
 
 // NewImage wraps assembled code into an image.
@@ -185,6 +193,23 @@ func NewImage(name string, code *Segment, entry uint64) *Image {
 		Symbols:     make(map[string]uint64),
 		BundleCount: len(code.Bundles),
 	}
+}
+
+// NewMemory returns a private data memory holding the image's initial data.
+// The first call runs InitData (if any) into a fresh memory and seals it;
+// every call returns a copy-on-write Fork of that sealed memory, so runs
+// share the pages they only read and copy a page the first time they write
+// it. Safe for concurrent use: a sealed memory may be forked by any number
+// of goroutines. The sealed memory lives as long as the image.
+func (im *Image) NewMemory() *memsys.Memory {
+	im.dataOnce.Do(func() {
+		m := memsys.NewMemory()
+		if im.InitData != nil {
+			im.InitData(m)
+		}
+		im.data = m.Fork() // Fork leaves its result sealed
+	})
+	return im.data.Fork()
 }
 
 // LoopAt returns the loop whose body contains pc.
