@@ -50,12 +50,19 @@ type RunRequest struct {
 	Policy string `json:"policy,omitempty"`
 	// Selector enables the per-phase runtime policy selector.
 	Selector bool `json:"selector,omitempty"`
-	// MaxInsts overrides the instruction safety stop (0 = default).
+	// MaxInsts lowers the instruction safety stop (0 = default). It may
+	// not exceed the default: a client can stop a run early, never make
+	// it longer.
 	MaxInsts uint64 `json:"max_insts,omitempty"`
 }
 
+// maxInstsCeiling is the largest MaxInsts a request may ask for.
+var maxInstsCeiling = harness.DefaultRunConfig().MaxInsts
+
 // normalize applies defaults and validates; the error, when non-nil, is
-// an *httpError carrying the response code.
+// an *httpError carrying the response code. It builds no kernel: the
+// workload name is checked against the suite table, so a cache hit never
+// pays for constructing a benchmark.
 func (r *RunRequest) normalize() *httpError {
 	if r.Workload == "" {
 		return badRequest("missing workload (want one of %v)", workloads.Names())
@@ -72,6 +79,9 @@ func (r *RunRequest) normalize() *httpError {
 	if r.Opt != "O2" && r.Opt != "O3" {
 		return badRequest("unknown opt %q (want O2 or O3)", r.Opt)
 	}
+	if r.MaxInsts > maxInstsCeiling {
+		return badRequest("max_insts %d above the ceiling %d", r.MaxInsts, maxInstsCeiling)
+	}
 	if r.Policy != "" || r.Selector {
 		r.ADORE = true
 	}
@@ -80,8 +90,8 @@ func (r *RunRequest) normalize() *httpError {
 			return err
 		}
 	}
-	if _, err := workloads.ByName(r.Workload, r.Scale); err != nil {
-		return &httpError{code: http.StatusNotFound, msg: err.Error()}
+	if !workloads.Known(r.Workload) {
+		return &httpError{code: http.StatusNotFound, msg: fmt.Sprintf("workloads: unknown benchmark %q", r.Workload)}
 	}
 	return nil
 }

@@ -3,6 +3,8 @@ package serve
 import (
 	"net/http"
 	"testing"
+
+	"repro/internal/workloads"
 )
 
 // TestRequestNormalize pins defaulting and validation.
@@ -37,6 +39,7 @@ func TestRequestNormalize(t *testing.T) {
 		{Workload: "mcf", Scale: -1},
 		{Workload: "mcf", Opt: "O1"},
 		{Workload: "mcf", Policy: "warp"},
+		{Workload: "mcf", MaxInsts: maxInstsCeiling + 1},
 	}
 	for i, r := range bad {
 		if err := r.normalize(); err == nil {
@@ -47,6 +50,57 @@ func TestRequestNormalize(t *testing.T) {
 	}
 	if err := (&RunRequest{Workload: "nope"}).normalize(); err == nil || err.code != http.StatusNotFound {
 		t.Fatalf("unknown workload: %v, want 404", err)
+	}
+}
+
+// TestRequestValidationBuildsNothing pins that validation no longer goes
+// through the kernel builder yet still answers as the suite does: an
+// unknown workload's 404 carries workloads.ByName's error text, and a
+// max_insts at the ceiling is accepted for /run and /sweep alike.
+func TestRequestValidationBuildsNothing(t *testing.T) {
+	_, want := workloads.ByName("nope", 0.05)
+	if err := (&RunRequest{Workload: "nope"}).normalize(); err == nil || err.msg != want.Error() {
+		t.Fatalf("unknown workload message %v, want %q", err, want)
+	}
+	if err := (&RunRequest{Workload: "mcf", MaxInsts: maxInstsCeiling}).normalize(); err != nil {
+		t.Fatalf("max_insts at the ceiling rejected: %v", err)
+	}
+	if err := (&SweepRequest{Workload: "mcf", MaxInsts: maxInstsCeiling + 1}).normalize(); err == nil || err.code != http.StatusBadRequest {
+		t.Fatalf("sweep max_insts above the ceiling: %v, want 400", err)
+	}
+}
+
+// hitPathAllocCeiling bounds the allocations of normalize+Fingerprint, the
+// per-request work a cache hit pays before the shard lookup. Validating
+// the workload by building the suite cost over a thousand.
+const hitPathAllocCeiling = 32
+
+// TestHitPathAllocs pins the hit path's cost by allocation count, which
+// unlike a timing is stable across hosts.
+func TestHitPathAllocs(t *testing.T) {
+	cases := []struct {
+		name string
+		fn   func() string
+	}{
+		{"run", func() string {
+			r := RunRequest{Workload: "mcf", Scale: 0.02, Policy: "paper"}
+			if err := r.normalize(); err != nil {
+				t.Fatal(err)
+			}
+			return r.Fingerprint()
+		}},
+		{"sweep", func() string {
+			r := SweepRequest{Workload: "art", Scale: 0.02, Opt: "O3"}
+			if err := r.normalize(); err != nil {
+				t.Fatal(err)
+			}
+			return r.Fingerprint()
+		}},
+	}
+	for _, c := range cases {
+		if n := testing.AllocsPerRun(100, func() { c.fn() }); n > hitPathAllocCeiling {
+			t.Errorf("%s: normalize+Fingerprint = %.0f allocs, want <= %d", c.name, n, hitPathAllocCeiling)
+		}
 	}
 }
 

@@ -243,13 +243,21 @@ func writeError(w http.ResponseWriter, err error) {
 	}
 }
 
+// maxBodyBytes bounds a request body. The largest legitimate document, a
+// /sweep listing every policy column, is well under 1 KiB.
+const maxBodyBytes = 64 << 10
+
 // decode parses a JSON request body strictly: unknown fields are a 400
 // (a misspelled option silently meaning a different simulation is worse
-// than an error).
-func decode(req *http.Request, into any) *httpError {
-	dec := json.NewDecoder(req.Body)
+// than an error), and a body over maxBodyBytes is a 413.
+func decode(w http.ResponseWriter, req *http.Request, into any) *httpError {
+	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return &httpError{code: http.StatusRequestEntityTooLarge, msg: fmt.Sprintf("request body over %d bytes", maxBodyBytes)}
+		}
 		return badRequest("bad request JSON: %v", err)
 	}
 	return nil
@@ -262,7 +270,7 @@ func (s *Server) handleRun(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	var rr RunRequest
-	if err := decode(req, &rr); err != nil {
+	if err := decode(w, req, &rr); err != nil {
 		s.failures.Inc()
 		writeError(w, err)
 		return
@@ -294,7 +302,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	var sr SweepRequest
-	if err := decode(req, &sr); err != nil {
+	if err := decode(w, req, &sr); err != nil {
 		s.failures.Inc()
 		writeError(w, err)
 		return

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -40,7 +41,8 @@ func readAll(t *testing.T, resp *http.Response) []byte {
 }
 
 // TestHandlerValidation pins the error mapping: malformed JSON and bad
-// fields are 400, an unknown workload is 404, a wrong method 405.
+// fields are 400, an unknown workload is 404, a wrong method 405, an
+// oversized body 413.
 func TestHandlerValidation(t *testing.T) {
 	_, ts := testServer(t)
 	cases := []struct {
@@ -59,6 +61,9 @@ func TestHandlerValidation(t *testing.T) {
 		{"sweep bad json", "/sweep", `[`, http.StatusBadRequest},
 		{"sweep dup column", "/sweep", `{"workload":"mcf","policies":["base","base"]}`, http.StatusBadRequest},
 		{"sweep unknown workload", "/sweep", `{"workload":"nope"}`, http.StatusNotFound},
+		{"max_insts above ceiling", "/run", `{"workload":"mcf","max_insts":2000000001}`, http.StatusBadRequest},
+		{"sweep max_insts above ceiling", "/sweep", `{"workload":"mcf","max_insts":2000000001}`, http.StatusBadRequest},
+		{"oversized body", "/run", `{"workload":"` + strings.Repeat("a", maxBodyBytes) + `"}`, http.StatusRequestEntityTooLarge},
 	}
 	for _, c := range cases {
 		resp := post(t, ts.URL+c.path, c.body)
@@ -244,5 +249,27 @@ func TestShardsEndpoint(t *testing.T) {
 	}
 	if workers == 0 {
 		t.Fatal("shard table shows no worker slots allocated")
+	}
+}
+
+// BenchmarkServeHit measures one in-process /run cache hit through
+// Handler(): decode, normalize, fingerprint, shard lookup and the write.
+func BenchmarkServeHit(b *testing.B) {
+	h := New(Config{Parallelism: 1, Shards: 2, ShardCap: 16, TotalSlots: 1}).Handler()
+	const body = `{"workload":"mcf","scale":0.02,"policy":"paper"}`
+	serve := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/run", strings.NewReader(body)))
+		return rec
+	}
+	if rec := serve(); rec.Code != http.StatusOK {
+		b.Fatalf("cold run: status %d: %s", rec.Code, rec.Body)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rec := serve(); rec.Header().Get("X-Adore-Cache") != "hit" {
+			b.Fatalf("request %d: X-Adore-Cache = %q, want hit", i, rec.Header().Get("X-Adore-Cache"))
+		}
 	}
 }

@@ -43,34 +43,58 @@ func scaleRepeat(n int64, scale float64) int64 {
 	return v
 }
 
+// suite is the benchmark table in the paper's Fig. 7 order (integer
+// programs first). Each constructor builds only its own kernel, so a name
+// lookup builds nothing and ByName builds exactly one benchmark.
+var suite = [...]struct {
+	name  string
+	build func(scale float64) Benchmark
+}{
+	{"bzip2", bzip2}, {"gzip", gzip}, {"mcf", mcf}, {"vpr", vpr}, {"parser", parser},
+	{"gap", gap}, {"vortex", vortex}, {"gcc", gcc},
+	{"ammp", ammp}, {"art", art}, {"applu", applu}, {"equake", equake}, {"facerec", facerec},
+	{"fma3d", fma3d}, {"lucas", lucas}, {"mesa", mesa}, {"swim", swim},
+}
+
 // All returns the 17 benchmarks in the paper's Fig. 7 order (integer
 // programs first). scale multiplies phase repeat counts: 1.0 reproduces the
 // standard run lengths (tens of millions of simulated instructions), tests
 // use smaller values.
 func All(scale float64) []Benchmark {
-	return []Benchmark{
-		bzip2(scale), gzip(scale), mcf(scale), vpr(scale), parser(scale),
-		gap(scale), vortex(scale), gcc(scale),
-		ammp(scale), art(scale), applu(scale), equake(scale), facerec(scale),
-		fma3d(scale), lucas(scale), mesa(scale), swim(scale),
+	out := make([]Benchmark, 0, len(suite))
+	for _, e := range suite {
+		out = append(out, e.build(scale))
 	}
+	return out
 }
 
-// ByName returns one benchmark at the given scale.
+// ByName returns one benchmark at the given scale, building only that one.
 func ByName(name string, scale float64) (Benchmark, error) {
-	for _, b := range All(scale) {
-		if b.Name == name {
-			return b, nil
+	i := index(name)
+	if i < 0 {
+		return Benchmark{}, fmt.Errorf("workloads: unknown benchmark %q", name)
+	}
+	return suite[i].build(scale), nil
+}
+
+// Known reports whether name is a suite benchmark, without building it.
+func Known(name string) bool { return index(name) >= 0 }
+
+// index returns name's position in the suite table, or -1.
+func index(name string) int {
+	for i, e := range suite {
+		if e.name == name {
+			return i
 		}
 	}
-	return Benchmark{}, fmt.Errorf("workloads: unknown benchmark %q", name)
+	return -1
 }
 
 // Names lists the benchmark names in suite order.
 func Names() []string {
-	names := make([]string, 0, 17)
-	for _, b := range All(0.01) {
-		names = append(names, b.Name)
+	names := make([]string, 0, len(suite))
+	for _, e := range suite {
+		names = append(names, e.name)
 	}
 	return names
 }

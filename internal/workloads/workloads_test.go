@@ -1,6 +1,7 @@
 package workloads_test
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/compiler"
@@ -54,6 +55,37 @@ func TestByName(t *testing.T) {
 	}
 	if _, err := workloads.ByName("nope", 1.0); err == nil {
 		t.Fatal("unknown benchmark accepted")
+	}
+}
+
+// TestSuiteTableMatchesKernels pins the static suite table against the
+// kernels it builds: Names follows All's order, ByName builds exactly the
+// benchmark All would, and Known agrees with ByName's error.
+func TestSuiteTableMatchesKernels(t *testing.T) {
+	names := workloads.Names()
+	for _, scale := range []float64{0.05, 1.0} {
+		all := workloads.All(scale)
+		if len(all) != len(names) {
+			t.Fatalf("scale %g: All has %d benchmarks, Names %d", scale, len(all), len(names))
+		}
+		for i, b := range all {
+			if b.Name != names[i] {
+				t.Errorf("scale %g: All[%d] = %s, Names[%d] = %s", scale, i, b.Name, i, names[i])
+			}
+			one, err := workloads.ByName(names[i], scale)
+			if err != nil {
+				t.Fatalf("ByName(%s, %g): %v", names[i], scale, err)
+			}
+			if !reflect.DeepEqual(one, b) {
+				t.Errorf("ByName(%s, %g) differs from All(%g)[%d]", names[i], scale, scale, i)
+			}
+		}
+	}
+	for _, name := range append(names, "nope", "") {
+		_, err := workloads.ByName(name, 0.05)
+		if known := workloads.Known(name); known != (err == nil) {
+			t.Errorf("Known(%q) = %v, ByName error = %v", name, known, err)
+		}
 	}
 }
 
