@@ -1,6 +1,7 @@
 package adore
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/compiler"
@@ -60,7 +61,9 @@ func BenchmarkFig7b(b *testing.B) {
 
 // benchFig7AtParallelism runs the Fig. 7(a) sweep on an engine of the given
 // width. A fresh engine (and thus a cold build cache) per iteration keeps
-// iterations comparable.
+// iterations comparable. It also reports retained-MB: the live heap after
+// a forced GC with the last iteration's engine — its build and result
+// caches — still alive.
 func benchFig7AtParallelism(b *testing.B, workers int) {
 	b.Helper()
 	if testing.Short() {
@@ -77,6 +80,12 @@ func benchFig7AtParallelism(b *testing.B, workers int) {
 			b.Fatal("empty sweep")
 		}
 	}
+	b.StopTimer()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	runtime.KeepAlive(cfg.Engine)
+	b.ReportMetric(float64(ms.HeapAlloc)/(1<<20), "retained-MB")
 }
 
 // BenchmarkFig7Serial pins the engine to one worker — the baseline for

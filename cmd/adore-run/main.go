@@ -83,7 +83,7 @@ func main() {
 	fmt.Printf("  loads/stores:  %d/%d, prefetches %d\n", res.CPU.Loads, res.CPU.Stores, res.CPU.Prefetches)
 	fmt.Printf("  load stalls:   %d cycles, I-cache stalls %d\n", res.CPU.LoadStalls, res.CPU.ICacheStalls)
 	fmt.Printf("  L1D misses:    %d  L2 misses: %d  L3 misses: %d\n",
-		res.Mem.L1D.Stats.Misses, res.Mem.L2.Stats.Misses, res.Mem.L3.Stats.Misses)
+		res.Mem.L1D.Misses, res.Mem.L2.Misses, res.Mem.L3.Misses)
 	if res.Core != nil {
 		s := res.Core
 		fmt.Printf("  ADORE (policy %s): %d phases optimized, %d traces patched\n",

@@ -15,7 +15,12 @@
 // ambiguous (aliased parameters, the paper's §1.1 matrix-multiply story).
 package compiler
 
-import "fmt"
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
+)
 
 // InitKind selects how an array's memory is initialized before a run.
 type InitKind uint8
@@ -188,6 +193,22 @@ type Kernel struct {
 	Name   string
 	Arrays []Array
 	Phases []Phase
+}
+
+// DataKey returns a content key for the kernel's initial data: a hash of
+// its array declarations, the only input layoutArrays and initData read.
+// Builds of one kernel at any optimization level — or of two kernels
+// declaring the same arrays — have equal keys and identical initial data
+// memory, which is what lets the harness build cache seal one data heap
+// per key instead of one per build.
+func (k *Kernel) DataKey() string {
+	b, err := json.Marshal(k.Arrays)
+	if err != nil {
+		// Array is plain data; a marshal failure is a programming error.
+		panic(fmt.Sprintf("compiler: kernel arrays not hashable: %v", err))
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:8])
 }
 
 // Validate performs structural checks before code generation.

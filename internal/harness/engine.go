@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"container/list"
 	"context"
 	"fmt"
 	"runtime"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/compiler"
 	"repro/internal/metrics"
+	"repro/internal/program"
 )
 
 // The experiment engine: the paper's evaluation sweeps 17 benchmarks ×
@@ -246,9 +248,15 @@ func (e *Engine) RunJob(ctx context.Context, sweep string, job Job) (*RunResult,
 // BuildCache is a single-flight cache of compiler builds keyed by
 // CompileSpec.Key. Sharing one BuildResult between concurrent runs is safe
 // because runs copy the code segment and never mutate the image.
+//
+// Builds whose kernels declare the same arrays (equal
+// compiler.Kernel.DataKey) — the O2, O3 and profile-filtered O3 builds of
+// one benchmark — share one sealed initial-data heap: each later build's
+// image forks the first one's (program.Image.ShareData).
 type BuildCache struct {
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
+	data    map[string]*program.Image // first successful image per DataKey
 	hits    atomic.Uint64
 	misses  atomic.Uint64
 	mHits   *metrics.Counter // optional live mirrors (SetMetrics)
@@ -263,7 +271,7 @@ type cacheEntry struct {
 
 // NewBuildCache returns an empty cache.
 func NewBuildCache() *BuildCache {
-	return &BuildCache{entries: map[string]*cacheEntry{}}
+	return &BuildCache{entries: map[string]*cacheEntry{}, data: map[string]*program.Image{}}
 }
 
 // SetMetrics mirrors the cache's hit/miss counters onto live metric
@@ -291,6 +299,18 @@ func (c *BuildCache) Build(spec CompileSpec) (*compiler.BuildResult, error) {
 	c.misses.Add(1)
 	c.mMisses.Inc()
 	e.build, e.err = compiler.Build(spec.Kernel, spec.Options)
+	if e.err == nil {
+		// Before ready closes, so no run of this build has called
+		// NewMemory yet.
+		dk := spec.Kernel.DataKey()
+		c.mu.Lock()
+		if src, ok := c.data[dk]; ok {
+			e.build.Image.ShareData(src)
+		} else {
+			c.data[dk] = e.build.Image
+		}
+		c.mu.Unlock()
+	}
 	close(e.ready)
 	return e.build, e.err
 }
@@ -302,10 +322,14 @@ func (c *BuildCache) Stats() (hits, misses uint64) {
 }
 
 // ResultCache is a single-flight cache of completed runs, keyed by the
-// compile key plus the RunConfig fingerprint. Sharing a *RunResult between
-// jobs is safe for the engine's callers, which treat results as read-only;
-// it is NOT used for differential or hook-carrying runs, which go through
-// RunContext directly.
+// compile key plus the RunConfig fingerprint. It holds run records, not
+// machines: every result it hands out — the first caller's included — has
+// nil FinalMemory, Arch, Code and Controller, so one entry costs its
+// counters, series and observability outputs rather than a whole memory
+// image and trace pool. Sharing a *RunResult between jobs is safe for the
+// engine's callers, which treat results as read-only; differential and
+// hook-carrying runs, which need the machine, go through RunContext
+// directly.
 //
 // An optional capacity (NewResultCacheBounded) turns the cache into an
 // LRU: completed entries beyond the bound are evicted oldest-touched
@@ -317,8 +341,8 @@ func (c *BuildCache) Stats() (hits, misses uint64) {
 type ResultCache struct {
 	mu        sync.Mutex
 	entries   map[string]*resultEntry
-	order     []string // completed keys, oldest-touched first (bounded mode only)
-	capacity  int      // 0 = unbounded
+	order     *list.List // completed keys, least-recently touched at the front (bounded mode only)
+	capacity  int        // 0 = unbounded
 	hits      atomic.Uint64
 	misses    atomic.Uint64
 	evictions atomic.Uint64
@@ -335,6 +359,7 @@ type resultEntry struct {
 	ready chan struct{} // closed once res/err are set
 	res   *RunResult
 	err   error
+	elem  *list.Element // the key's place in order once completed (bounded mode)
 }
 
 // NewResultCache returns an empty, unbounded cache.
@@ -349,6 +374,7 @@ func NewResultCacheBounded(capacity int) *ResultCache {
 	c := NewResultCache()
 	if capacity > 0 {
 		c.capacity = capacity
+		c.order = list.New()
 	}
 	return c
 }
@@ -359,7 +385,7 @@ func (c *ResultCache) SetMetrics(hits, misses *metrics.Counter) {
 	c.mHits, c.mMisses = hits, misses
 }
 
-// Run returns the result of simulating build under cfg, running each
+// Run returns the record of simulating build under cfg, running each
 // distinct (compileKey, cfg.Fingerprint()) pair at most once no matter how
 // many goroutines ask concurrently. A failed run is handed to its waiters
 // but evicted from the cache, so a later retry (e.g. after a canceled
@@ -372,7 +398,9 @@ func (c *ResultCache) Run(ctx context.Context, compileKey string, build *compile
 	key := compileKey + "|" + cfg.Fingerprint()
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
-		c.touchLocked(key)
+		if e.elem != nil {
+			c.order.MoveToBack(e.elem)
+		}
 		c.mu.Unlock()
 		c.hits.Add(1)
 		c.mHits.Inc()
@@ -408,36 +436,23 @@ func (c *ResultCache) Run(ctx context.Context, compileKey string, build *compile
 	if e.err != nil {
 		delete(c.entries, key)
 	} else {
-		c.completeLocked(key)
+		e.res.FinalMemory, e.res.Arch, e.res.Code, e.res.Controller = nil, nil, nil, nil
+		c.completeLocked(key, e)
 	}
 	c.mu.Unlock()
 	close(e.ready)
 	return e.res, e.err
 }
 
-// touchLocked marks key most-recently-used (bounded mode; no-op otherwise
-// or while the key is still in flight).
-func (c *ResultCache) touchLocked(key string) {
+// completeLocked records a freshly completed entry as most recently used
+// and evicts past capacity (bounded mode; no-op otherwise).
+func (c *ResultCache) completeLocked(key string, e *resultEntry) {
 	if c.capacity == 0 {
 		return
 	}
-	for i, k := range c.order {
-		if k == key {
-			c.order = append(append(c.order[:i], c.order[i+1:]...), key)
-			return
-		}
-	}
-}
-
-// completeLocked records a freshly completed key and evicts past capacity.
-func (c *ResultCache) completeLocked(key string) {
-	if c.capacity == 0 {
-		return
-	}
-	c.order = append(c.order, key)
-	for len(c.order) > c.capacity {
-		victim := c.order[0]
-		c.order = c.order[1:]
+	e.elem = c.order.PushBack(key)
+	for c.order.Len() > c.capacity {
+		victim := c.order.Remove(c.order.Front()).(string)
 		delete(c.entries, victim)
 		c.evictions.Add(1)
 	}

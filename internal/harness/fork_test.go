@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/compiler"
 	"repro/internal/core"
-	"repro/internal/memsys"
 	"repro/internal/workloads"
 )
 
@@ -65,13 +64,8 @@ func compareRuns(t *testing.T, straight, forked *RunResult) {
 	if straight.Core != nil && *straight.Core != *forked.Core {
 		t.Errorf("core stats diverged:\n straight %+v\n forked   %+v", *straight.Core, *forked.Core)
 	}
-	if s, f := straight.Mem.Prefetch(), forked.Mem.Prefetch(); s != f {
-		t.Errorf("prefetch counters diverged:\n straight %+v\n forked   %+v", s, f)
-	}
-	sh := [4]memsys.CacheStats{straight.Mem.L1D.Stats, straight.Mem.L1I.Stats, straight.Mem.L2.Stats, straight.Mem.L3.Stats}
-	fh := [4]memsys.CacheStats{forked.Mem.L1D.Stats, forked.Mem.L1I.Stats, forked.Mem.L2.Stats, forked.Mem.L3.Stats}
-	if sh != fh {
-		t.Errorf("cache stats diverged:\n straight %+v\n forked   %+v", sh, fh)
+	if straight.Mem != forked.Mem {
+		t.Errorf("hierarchy stats diverged:\n straight %+v\n forked   %+v", straight.Mem, forked.Mem)
 	}
 	if !reflect.DeepEqual(straight.Series, forked.Series) {
 		t.Errorf("series diverged: %d points straight, %d forked", len(straight.Series), len(forked.Series))

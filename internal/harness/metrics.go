@@ -102,16 +102,14 @@ func (e *Engine) foldResult(res *RunResult) {
 	m.simInsts.Add(res.CPU.Retired)
 	m.simLoads.Add(res.CPU.Loads)
 	m.simLoadStall.Add(res.CPU.LoadStalls)
-	if h := res.Mem; h != nil {
-		m.memL1DMiss.Add(h.L1D.Stats.Misses)
-		m.memL2Miss.Add(h.L2.Stats.Misses)
-		m.memL3Miss.Add(h.L3.Stats.Misses)
-		pf := h.Prefetch()
-		m.pfIssued.Add(pf.Issued)
-		m.pfUseful.Add(pf.Useful)
-		m.pfLate.Add(pf.Late)
-		m.pfUnused.Add(pf.EvictedUnused)
-	}
+	m.memL1DMiss.Add(res.Mem.L1D.Misses)
+	m.memL2Miss.Add(res.Mem.L2.Misses)
+	m.memL3Miss.Add(res.Mem.L3.Misses)
+	pf := res.Mem.Prefetch()
+	m.pfIssued.Add(pf.Issued)
+	m.pfUseful.Add(pf.Useful)
+	m.pfLate.Add(pf.Late)
+	m.pfUnused.Add(pf.EvictedUnused)
 	if res.Obs != nil && res.Obs.Dropped > 0 {
 		m.obsDropped.Add(res.Obs.Dropped)
 		e.drops.obsEvents.Add(res.Obs.Dropped)

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/compiler"
-	"repro/internal/memsys"
 	"repro/internal/obs"
 	"repro/internal/workloads"
 )
@@ -167,10 +166,8 @@ func sameSimulation(t *testing.T, layer string, a, b *RunResult) {
 	if !reflect.DeepEqual(a.Core, b.Core) {
 		t.Errorf("%s perturbed controller stats:\n on  %+v\n off %+v", layer, a.Core, b.Core)
 	}
-	ah := [4]memsys.CacheStats{a.Mem.L1D.Stats, a.Mem.L1I.Stats, a.Mem.L2.Stats, a.Mem.L3.Stats}
-	bh := [4]memsys.CacheStats{b.Mem.L1D.Stats, b.Mem.L1I.Stats, b.Mem.L2.Stats, b.Mem.L3.Stats}
-	if ah != bh || a.Mem.Prefetch() != b.Mem.Prefetch() {
-		t.Errorf("%s perturbed cache stats:\n on  %+v\n off %+v", layer, ah, bh)
+	if a.Mem != b.Mem {
+		t.Errorf("%s perturbed hierarchy stats:\n on  %+v\n off %+v", layer, a.Mem, b.Mem)
 	}
 }
 

@@ -125,8 +125,8 @@ type RunResult struct {
 	CPU        cpu.Stats
 	Core       *core.Stats // nil when ADORE was off
 	Series     []SeriesPoint
-	Mem        *memsys.Hierarchy
-	DearEvents []DearEvent // non-nil only with CaptureDear
+	Mem        memsys.HierarchyStats // the hierarchy's counters at the end of the run
+	DearEvents []DearEvent           // non-nil only with CaptureDear
 
 	// Observability outputs, non-nil only with RunConfig.Observe (and
 	// omitted from JSON otherwise, keeping unobserved output unchanged).
@@ -145,6 +145,11 @@ type RunResult struct {
 	// Differential-harness outputs (never serialized): the final
 	// architectural register state, the run's private code space (patched
 	// state included), and the controller when ADORE was attached.
+	//
+	// The machine fields — FinalMemory, Arch, Code, Controller — are set
+	// only on runs made outside the engine's result cache (direct runs,
+	// differential, hook-carrying and fork runs). The cache keeps a run
+	// record, so they are nil in every result it hands out.
 	Arch       *isa.ArchState     `json:"-"`
 	Code       *program.CodeSpace `json:"-"`
 	Controller *core.Controller   `json:"-"`
@@ -224,7 +229,7 @@ func runImage(ctx context.Context, img *program.Image, cfg RunConfig, probe *for
 
 	var p *pmu.PMU
 	var ctrl *core.Controller
-	res := &RunResult{Name: img.Name, Mem: hier}
+	res := &RunResult{Name: img.Name}
 
 	if cfg.Observe {
 		cfg.Core.Observe = true
@@ -310,6 +315,7 @@ func runImage(ctx context.Context, img *program.Image, cfg RunConfig, probe *for
 		p.Stop()
 	}
 	res.CPU = st
+	res.Mem = hier.Stats()
 	res.FinalMemory = mem
 	arch := m.ArchState()
 	res.Arch = &arch

@@ -375,12 +375,43 @@ type PrefetchStats struct {
 // the levels lfetch installs into for integer and FP streams respectively.
 // A line can be counted at both levels (it exists in both), so the split
 // is indicative, not an exact partition of Issued.
-func (h *Hierarchy) Prefetch() PrefetchStats {
+func (h *Hierarchy) Prefetch() PrefetchStats { return h.Stats().Prefetch() }
+
+// HierarchyStats is the counter state of a hierarchy: every per-level
+// CacheStats plus the aggregate bus, MSHR and prefetch counters, without
+// the line arrays. It is what a finished run keeps of its memory system.
+type HierarchyStats struct {
+	L1D, L1I, L2, L3 CacheStats
+
+	PrefetchesIssued  uint64
+	DroppedPrefetches uint64
+	MemAccesses       uint64
+	BusWaitCycles     uint64
+	MSHRWaitCycles    uint64
+}
+
+// Stats returns a copy of the hierarchy's counters.
+func (h *Hierarchy) Stats() HierarchyStats {
+	return HierarchyStats{
+		L1D:               h.L1D.Stats,
+		L1I:               h.L1I.Stats,
+		L2:                h.L2.Stats,
+		L3:                h.L3.Stats,
+		PrefetchesIssued:  h.PrefetchesIssued,
+		DroppedPrefetches: h.DroppedPrefetches,
+		MemAccesses:       h.MemAccesses,
+		BusWaitCycles:     h.BusWaitCycles,
+		MSHRWaitCycles:    h.MSHRWaitCycles,
+	}
+}
+
+// Prefetch is Hierarchy.Prefetch over the recorded counters.
+func (s HierarchyStats) Prefetch() PrefetchStats {
 	return PrefetchStats{
-		Issued:        h.PrefetchesIssued,
-		Useful:        h.L1D.Stats.PfUseful + h.L2.Stats.PfUseful,
-		Late:          h.L1D.Stats.PfLate + h.L2.Stats.PfLate,
-		EvictedUnused: h.L1D.Stats.PfUnused + h.L2.Stats.PfUnused,
+		Issued:        s.PrefetchesIssued,
+		Useful:        s.L1D.PfUseful + s.L2.PfUseful,
+		Late:          s.L1D.PfLate + s.L2.PfLate,
+		EvictedUnused: s.L1D.PfUnused + s.L2.PfUnused,
 	}
 }
 

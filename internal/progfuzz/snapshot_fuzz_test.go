@@ -25,13 +25,8 @@ func sameRun(t *testing.T, label string, straight, forked *harness.RunResult) {
 	if !reflect.DeepEqual(straight.Core, forked.Core) {
 		t.Errorf("%s: controller stats diverged:\n straight %+v\n forked   %+v", label, straight.Core, forked.Core)
 	}
-	if straight.Mem.Prefetch() != forked.Mem.Prefetch() {
-		t.Errorf("%s: prefetch stats diverged:\n straight %+v\n forked   %+v", label, straight.Mem.Prefetch(), forked.Mem.Prefetch())
-	}
-	cs := [4]memsys.CacheStats{straight.Mem.L1D.Stats, straight.Mem.L1I.Stats, straight.Mem.L2.Stats, straight.Mem.L3.Stats}
-	cf := [4]memsys.CacheStats{forked.Mem.L1D.Stats, forked.Mem.L1I.Stats, forked.Mem.L2.Stats, forked.Mem.L3.Stats}
-	if cs != cf {
-		t.Errorf("%s: cache stats diverged:\n straight %+v\n forked   %+v", label, cs, cf)
+	if straight.Mem != forked.Mem {
+		t.Errorf("%s: hierarchy stats diverged:\n straight %+v\n forked   %+v", label, straight.Mem, forked.Mem)
 	}
 	if addr, sv, fv, diff := memsys.FirstDiff(straight.FinalMemory, forked.FinalMemory); diff {
 		t.Errorf("%s: memory diverged at %#x: straight %#x, forked %#x", label, addr, sv, fv)

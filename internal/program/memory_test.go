@@ -69,3 +69,53 @@ func TestNewMemoryNilInitData(t *testing.T) {
 		t.Fatalf("a later memory sees an earlier one's store: %d", got)
 	}
 }
+
+// TestShareDataInitializesOnce: images sharing one source's data run
+// InitData once between them, however many goroutines ask and whichever
+// image they ask through, and every memory is a private copy.
+func TestShareDataInitializesOnce(t *testing.T) {
+	const addr, val = 0x20000, 0xbeef
+	var srcCalls, otherCalls atomic.Int32
+	src := &Image{Name: "src", InitData: func(m *memsys.Memory) {
+		srcCalls.Add(1)
+		m.Write64(addr, val)
+	}}
+	sharers := make([]*Image, 3)
+	for i := range sharers {
+		sharers[i] = &Image{Name: "sharer", InitData: func(m *memsys.Memory) {
+			otherCalls.Add(1)
+			m.Write64(addr, val)
+		}}
+	}
+	sharers[0].ShareData(src)
+	sharers[1].ShareData(src)
+	sharers[2].ShareData(sharers[1]) // a chain resolves to the same heap
+	images := append([]*Image{src}, sharers...)
+
+	const perImage = 4
+	mems := make([]*memsys.Memory, len(images)*perImage)
+	var wg sync.WaitGroup
+	for i := range mems {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			mems[i] = images[i%len(images)].NewMemory()
+		}(i)
+	}
+	wg.Wait()
+	if c, o := srcCalls.Load(), otherCalls.Load(); c != 1 || o != 0 {
+		t.Fatalf("InitData ran %d times on the source and %d on its sharers, want 1 and 0", c, o)
+	}
+	for i, m := range mems {
+		if got := m.Read64(addr); got != val {
+			t.Fatalf("memory %d reads %#x at %#x, want %#x", i, got, addr, val)
+		}
+	}
+
+	mems[0].Write64(addr, 1)
+	for i, m := range append(mems[1:], sharers[2].NewMemory(), src.NewMemory()) {
+		if got := m.Read64(addr); got != val {
+			t.Errorf("memory %d sees a sibling's store: %#x at %#x, want %#x", i+1, got, addr, val)
+		}
+	}
+}

@@ -180,8 +180,11 @@ type Image struct {
 
 	// The initialized data memory, built once by NewMemory and sealed.
 	// Images are always handled by pointer, so the Once is never copied.
+	// dataSrc, when set by ShareData, is the image whose sealed memory
+	// this one forks instead.
 	dataOnce sync.Once
 	data     *memsys.Memory
+	dataSrc  *Image
 }
 
 // NewImage wraps assembled code into an image.
@@ -200,8 +203,12 @@ func NewImage(name string, code *Segment, entry uint64) *Image {
 // every call returns a copy-on-write Fork of that sealed memory, so runs
 // share the pages they only read and copy a page the first time they write
 // it. Safe for concurrent use: a sealed memory may be forked by any number
-// of goroutines. The sealed memory lives as long as the image.
+// of goroutines. The sealed memory lives as long as the image, or — once
+// other images share it through ShareData — as long as any of them.
 func (im *Image) NewMemory() *memsys.Memory {
+	if im.dataSrc != nil {
+		return im.dataSrc.NewMemory()
+	}
 	im.dataOnce.Do(func() {
 		m := memsys.NewMemory()
 		if im.InitData != nil {
@@ -211,6 +218,14 @@ func (im *Image) NewMemory() *memsys.Memory {
 	})
 	return im.data.Fork()
 }
+
+// ShareData makes im's data memory src's: every later NewMemory on im
+// forks src's sealed memory, so the two images hold one data heap and
+// InitData runs once across them. The caller vouches that both images'
+// initial data are identical (for compiled images: equal
+// compiler.Kernel.DataKey). Call it before im's first NewMemory and
+// before im is shared between goroutines; it is not synchronized.
+func (im *Image) ShareData(src *Image) { im.dataSrc = src }
 
 // LoopAt returns the loop whose body contains pc.
 func (im *Image) LoopAt(pc uint64) (*LoopInfo, bool) {

@@ -168,20 +168,18 @@ type SweepResponse struct {
 // runResponse folds one run result into the response document.
 func runResponse(rr RunRequest, res *harness.RunResult) RunResponse {
 	out := RunResponse{
-		Workload:     rr.Workload,
-		Opt:          rr.Opt,
-		Scale:        rr.Scale,
-		Policy:       rr.policyColumn(),
-		Cycles:       res.CPU.Cycles,
-		Instructions: res.CPU.Retired,
-		CPI:          res.CPU.CPI(),
+		Workload:      rr.Workload,
+		Opt:           rr.Opt,
+		Scale:         rr.Scale,
+		Policy:        rr.policyColumn(),
+		Cycles:        res.CPU.Cycles,
+		Instructions:  res.CPU.Retired,
+		CPI:           res.CPU.CPI(),
+		PrefetchLines: res.Mem.Prefetch(),
 	}
 	if res.Core != nil {
 		out.Prefetches = res.Core.TotalPrefetches()
 		out.TracesPatched = res.Core.TracesPatched
-	}
-	if res.Mem != nil {
-		out.PrefetchLines = res.Mem.Prefetch()
 	}
 	return out
 }
