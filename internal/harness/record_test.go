@@ -170,16 +170,20 @@ func TestResultCacheHoldsRecords(t *testing.T) {
 
 // TestResultCacheLRUOrder: after any mix of fills and touches, a full
 // cache evicts exactly the least-recently-touched key — checked against a
-// reference model over a seeded sequence of requests.
+// reference model over a seeded sequence of requests: the model predicts
+// which requests re-run, so a wrong victim shows as a wrong miss.
 func TestResultCacheLRUOrder(t *testing.T) {
 	const capacity = 4
 	c := NewResultCacheBounded(capacity)
+	var runs int
 	c.runFn = func(context.Context, *compiler.BuildResult, RunConfig) (*RunResult, error) {
+		runs++
 		return &RunResult{Name: "stub"}, nil
 	}
 	cfg := DefaultRunConfig()
 	keys := []string{"a", "b", "c", "d", "e", "f", "g"}
 	var model []string // least recently touched first
+	var wantRuns int
 	var wantEvictions uint64
 	rng := rand.New(rand.NewSource(1))
 	for step := 0; step < 400; step++ {
@@ -189,34 +193,19 @@ func TestResultCacheLRUOrder(t *testing.T) {
 		}
 		if i := slices.Index(model, k); i >= 0 {
 			model = slices.Delete(model, i, i+1)
+		} else {
+			wantRuns++
 		}
 		model = append(model, k)
 		if len(model) > capacity {
 			model = model[1:]
 			wantEvictions++
 		}
-
-		c.mu.Lock()
-		var held []string
-		for key := range c.entries {
-			held = append(held, key)
+		if runs != wantRuns {
+			t.Fatalf("step %d (%s): %d runs, want %d (model %v)", step, k, runs, wantRuns, model)
 		}
-		var order []string
-		for el := c.order.Front(); el != nil; el = el.Next() {
-			order = append(order, el.Value.(string))
-		}
-		c.mu.Unlock()
-		slices.Sort(held)
-		want := make([]string, len(model))
-		for i, m := range model {
-			want[i] = m + "|" + cfg.Fingerprint()
-		}
-		if !slices.Equal(order, want) {
-			t.Fatalf("step %d (%s): recency order %v, want %v", step, k, order, want)
-		}
-		slices.Sort(want)
-		if !slices.Equal(held, want) {
-			t.Fatalf("step %d (%s): cache holds %v, want %v", step, k, held, want)
+		if n := c.Len(); n != len(model) {
+			t.Fatalf("step %d (%s): cache holds %d entries, want %d", step, k, n, len(model))
 		}
 	}
 	if got := c.Evictions(); got != wantEvictions {

@@ -1,27 +1,20 @@
 package serve
 
 import (
-	"container/list"
 	"context"
-	"fmt"
 	"hash/fnv"
-	"sync"
-	"sync/atomic"
-	"time"
 
+	"repro/internal/flight"
 	"repro/internal/metrics"
 )
 
-// The response cache: the serving-path half of the ROADMAP's "sharded run
-// fleet with a content-addressed result cache". Keys are request
-// fingerprints (sha256 over the normalized request document — see
-// request.go), values are fully marshaled response bodies, so a cache hit
-// is served byte-identical to the cold run that filled it, with zero
-// re-marshaling. The fingerprint prefix picks the shard, each shard is an
-// independently locked bounded LRU (the lesson of the unbounded
-// harness.ResultCache: a long-lived process must not grow its cache with
-// its query universe), and each entry is single-flight — concurrent
-// identical requests share one simulation.
+// The response cache: keys are request fingerprints (sha256 over the
+// normalized request document — see request.go), values are fully
+// marshaled response bodies, so a cache hit is served byte-identical to
+// the cold run that filled it, with zero re-marshaling. The fingerprint
+// prefix picks the shard; each shard is an independently locked, bounded,
+// single-flight flight.Cache, so concurrent identical requests share one
+// simulation, and one client disconnecting never fails another's.
 
 // CacheConfig sizes the sharded response cache.
 type CacheConfig struct {
@@ -33,45 +26,11 @@ type CacheConfig struct {
 	ShardCap int
 }
 
-// ShardedCache is a sharded, bounded-LRU, single-flight cache of response
-// bodies keyed by request fingerprint.
+// ShardedCache routes request fingerprints onto flight caches of
+// response bodies by fingerprint prefix.
 type ShardedCache struct {
-	shards []*cacheShard
+	shards []*flight.Cache[[]byte]
 	mask   uint64
-
-	// Aggregate counters, mirrored live when a registry is attached.
-	mHits      *metrics.Counter
-	mMisses    *metrics.Counter
-	mEvictions *metrics.Counter
-}
-
-// cacheShard is one independently locked LRU shard.
-type cacheShard struct {
-	mu      sync.Mutex
-	entries map[string]*cacheEntry
-	lru     *list.List // of *cacheEntry; front = most recently used
-	cap     int
-
-	hits      atomic.Uint64
-	misses    atomic.Uint64
-	evictions atomic.Uint64
-
-	// Load signals for the shard manager: every request to the shard
-	// (hit or miss) counts once, with its full service latency.
-	requests  atomic.Uint64
-	latencyNS atomic.Uint64
-}
-
-// cacheEntry is one single-flight slot: ready closes once body/err are
-// set. In-flight entries (elem == nil) are never evicted — their waiters
-// hold the pointer, and evicting one would let a concurrent identical
-// request start a duplicate simulation.
-type cacheEntry struct {
-	key   string
-	ready chan struct{}
-	body  []byte
-	err   error
-	elem  *list.Element
 }
 
 // NewShardedCache builds the cache and registers its aggregate counters
@@ -89,15 +48,16 @@ func NewShardedCache(cfg CacheConfig, reg *metrics.Registry) *ShardedCache {
 	if capacity <= 0 {
 		capacity = 128
 	}
-	c := &ShardedCache{
-		shards:     make([]*cacheShard, n),
-		mask:       uint64(n - 1),
-		mHits:      reg.Counter("adore_serve_cache_hits_total", "requests served from the sharded response cache (incl. in-flight joins)"),
-		mMisses:    reg.Counter("adore_serve_cache_misses_total", "requests that ran a simulation"),
-		mEvictions: reg.Counter("adore_serve_cache_evictions_total", "completed responses dropped by shard LRU bounds"),
+	m := flight.Metrics{
+		Hits:      reg.Counter("adore_serve_cache_hits_total", "requests served from the sharded response cache (incl. in-flight joins)"),
+		Joins:     reg.Counter("adore_serve_cache_joins_total", "requests that joined an in-flight simulation (a subset of hits)"),
+		Misses:    reg.Counter("adore_serve_cache_misses_total", "requests that ran a simulation"),
+		Evictions: reg.Counter("adore_serve_cache_evictions_total", "completed responses dropped by shard LRU bounds"),
 	}
+	c := &ShardedCache{shards: make([]*flight.Cache[[]byte], n), mask: uint64(n - 1)}
 	for i := range c.shards {
-		c.shards[i] = &cacheShard{entries: map[string]*cacheEntry{}, lru: list.New(), cap: capacity}
+		c.shards[i] = flight.New[[]byte](capacity)
+		c.shards[i].SetMetrics(m)
 	}
 	return c
 }
@@ -138,94 +98,22 @@ func hexVal(b byte) int {
 	return -1
 }
 
-// Do returns the body cached under key, filling it with fill on a miss.
-// Concurrent calls with the same key run fill once and share its result
-// (hit reports whether THIS call was served without running fill). A
-// failed fill is handed to the waiters that joined it but evicted, so a
-// retry re-runs; a waiter whose own ctx fires returns immediately instead
-// of stranding on a stuck fill; a panicking fill releases its waiters
-// before the panic propagates.
+// Do returns the body cached under key, filling it with fill on a miss;
+// hit reports whether THIS call was served without running fill. The
+// semantics are flight.Cache.Do's: concurrent identical keys share one
+// fill, which runs until its last waiter leaves.
 func (c *ShardedCache) Do(ctx context.Context, key string, fill func(context.Context) ([]byte, error)) (body []byte, hit bool, err error) {
-	s := c.shards[c.ShardFor(key)]
-	start := time.Now()
-	defer func() {
-		s.requests.Add(1)
-		s.latencyNS.Add(uint64(time.Since(start)))
-	}()
-
-	s.mu.Lock()
-	if e, ok := s.entries[key]; ok {
-		if e.elem != nil {
-			s.lru.MoveToFront(e.elem)
-		}
-		s.mu.Unlock()
-		s.hits.Add(1)
-		c.mHits.Inc()
-		select {
-		case <-e.ready:
-			return e.body, true, e.err
-		case <-ctx.Done():
-			return nil, true, ctx.Err()
-		}
-	}
-	e := &cacheEntry{key: key, ready: make(chan struct{})}
-	s.entries[key] = e
-	s.mu.Unlock()
-	s.misses.Add(1)
-	c.mMisses.Inc()
-
-	finished := false
-	defer func() {
-		if !finished {
-			e.err = fmt.Errorf("serve: cache fill for %s died", key)
-			s.mu.Lock()
-			delete(s.entries, key)
-			s.mu.Unlock()
-			close(e.ready)
-		}
-	}()
-	e.body, e.err = fill(ctx)
-	finished = true
-	s.mu.Lock()
-	if e.err != nil {
-		delete(s.entries, key)
-	} else {
-		e.elem = s.lru.PushFront(e)
-		for s.lru.Len() > s.cap {
-			victim := s.lru.Remove(s.lru.Back()).(*cacheEntry)
-			delete(s.entries, victim.key)
-			s.evictions.Add(1)
-			c.mEvictions.Inc()
-		}
-	}
-	s.mu.Unlock()
-	close(e.ready)
-	return e.body, false, e.err
+	return c.shards[c.ShardFor(key)].Do(ctx, key, fill)
 }
 
-// Stats reports the aggregate cache effectiveness across shards.
+// Stats reports the aggregate cache effectiveness across shards; hits
+// include in-flight joins.
 func (c *ShardedCache) Stats() (hits, misses, evictions uint64) {
 	for _, s := range c.shards {
-		hits += s.hits.Load()
-		misses += s.misses.Load()
-		evictions += s.evictions.Load()
+		st := s.Stats()
+		hits += st.Hits
+		misses += st.Misses
+		evictions += st.Evictions
 	}
 	return hits, misses, evictions
-}
-
-// ShardLoad reports shard i's cumulative request count and service
-// latency — the shard manager's input signals.
-func (c *ShardedCache) ShardLoad(i int) (requests, latencyNS uint64) {
-	s := c.shards[i]
-	return s.requests.Load(), s.latencyNS.Load()
-}
-
-// ShardStats reports shard i's cache counters and current entry count
-// (the /shards introspection document).
-func (c *ShardedCache) ShardStats(i int) (hits, misses, evictions uint64, entries int) {
-	s := c.shards[i]
-	s.mu.Lock()
-	entries = len(s.entries)
-	s.mu.Unlock()
-	return s.hits.Load(), s.misses.Load(), s.evictions.Load(), entries
 }

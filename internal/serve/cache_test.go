@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -98,9 +99,12 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 // TestCacheSingleFlight pins the dedup property: concurrent identical
-// keys run fill once and all see its body.
+// keys run fill once and all see its body, and every request that found
+// the fill in flight counts as a join on /metrics.
 func TestCacheSingleFlight(t *testing.T) {
-	c := NewShardedCache(CacheConfig{Shards: 2, ShardCap: 8}, nil)
+	reg := metrics.NewRegistry()
+	joins := reg.Counter("adore_serve_cache_joins_total", "")
+	c := NewShardedCache(CacheConfig{Shards: 2, ShardCap: 8}, reg)
 	ctx := context.Background()
 	var mu sync.Mutex
 	runs := 0
@@ -126,7 +130,9 @@ func TestCacheSingleFlight(t *testing.T) {
 			bodies[i] = string(body)
 		}(i)
 	}
-	time.Sleep(20 * time.Millisecond) // let the waiters pile onto the entry
+	for joins.Value() != n-1 {
+		runtime.Gosched() // let the waiters pile onto the entry
+	}
 	close(release)
 	wg.Wait()
 	if runs != 1 {

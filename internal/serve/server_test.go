@@ -15,7 +15,7 @@ import (
 // (runs are cheap at tiny scales on the simulated machine).
 func testServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
-	s := New(Config{Parallelism: 2, Shards: 2, ShardCap: 16, TotalSlots: 4})
+	s := New(Config{Parallelism: 2, Shards: 2, ShardCap: 16})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts
@@ -222,40 +222,10 @@ func TestSweepForked(t *testing.T) {
 	}
 }
 
-// TestShardsEndpoint pins the introspection document shape.
-func TestShardsEndpoint(t *testing.T) {
-	s, ts := testServer(t)
-	readAll(t, post(t, ts.URL+"/run", `{"workload":"gzip","scale":0.02}`))
-	resp, err := http.Get(ts.URL + "/shards")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Shards []shardDoc `json:"shards"`
-	}
-	if err := json.Unmarshal(readAll(t, resp), &doc); err != nil {
-		t.Fatal(err)
-	}
-	if len(doc.Shards) != s.Cache().Shards() {
-		t.Fatalf("%d shard rows, want %d", len(doc.Shards), s.Cache().Shards())
-	}
-	var misses, workers uint64
-	for _, row := range doc.Shards {
-		misses += row.Misses
-		workers += uint64(row.Workers)
-	}
-	if misses != 1 {
-		t.Fatalf("shard table shows %d misses, want 1", misses)
-	}
-	if workers == 0 {
-		t.Fatal("shard table shows no worker slots allocated")
-	}
-}
-
 // BenchmarkServeHit measures one in-process /run cache hit through
 // Handler(): decode, normalize, fingerprint, shard lookup and the write.
 func BenchmarkServeHit(b *testing.B) {
-	h := New(Config{Parallelism: 1, Shards: 2, ShardCap: 16, TotalSlots: 1}).Handler()
+	h := New(Config{Parallelism: 1, Shards: 2, ShardCap: 16}).Handler()
 	const body = `{"workload":"mcf","scale":0.02,"policy":"paper"}`
 	serve := func() *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
