@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"net/http"
-	"net/http/pprof"
 	"os"
 	"time"
 
@@ -14,44 +12,25 @@ import (
 	"repro/internal/serve"
 )
 
-// The -metrics-addr observability endpoint: while a sweep runs,
-// adore-bench serves
-//
-//	/metrics       Prometheus text exposition (?format=json for JSON)
-//	/status        per-sweep job progress as JSON
-//	/debug/pprof/  the Go runtime's profiler, for the simulator itself
-//
-// so a long regeneration of the paper's tables can be watched (and the
-// host process profiled) without interrupting it. -linger keeps the
-// endpoint up after the sweeps finish, for scrapers that poll — CI smoke
-// uses it to validate the endpoint after a short run.
-
-// serveMetrics starts the observability endpoint on addr and returns a
-// shutdown func that (after the linger grace, cut short if ctx fires)
-// drains the server gracefully. The listener is bound synchronously so
-// the endpoint is scrapeable — and the bound address printed — before any
-// sweep starts. The server carries the hardened timeouts (serve.Hardened)
-// and a Serve failure is logged instead of discarded.
+// serveMetrics starts the -metrics-addr endpoint (serve.ObservabilityMux:
+// /metrics, /status, /debug/pprof/), so a long sweep can be watched and the
+// host process profiled without interrupting it. The listener is bound
+// synchronously so the endpoint is scrapeable — and its address printed —
+// before any sweep starts. The returned shutdown func waits out -linger
+// (for scrapers that poll; cut short if ctx fires), then drains the server
+// through serve.ListenAndServe.
 func serveMetrics(ctx context.Context, addr string, reg *metrics.Registry, status *serve.StatusTracker, linger time.Duration) (func(), error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("-metrics-addr %s: %w", addr, err)
 	}
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", metrics.Handler(reg))
-	mux.Handle("/status", status)
-	// The pprof handlers normally self-register on DefaultServeMux at
-	// import; wiring them explicitly keeps this mux self-contained.
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-
-	srv := serve.Hardened(mux)
+	srvCtx, stop := context.WithCancel(ctx)
+	done := make(chan struct{})
 	go func() {
-		if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-			fmt.Fprintf(os.Stderr, "warning: -metrics-addr endpoint died: %v\n", err)
+		defer close(done)
+		srv := serve.Hardened(serve.ObservabilityMux(reg, status))
+		if err := serve.ListenAndServe(srvCtx, srv, ln, 5*time.Second); err != nil {
+			fmt.Fprintf(os.Stderr, "warning: -metrics-addr endpoint: %v\n", err)
 		}
 	}()
 	fmt.Fprintf(os.Stderr, "serving /metrics, /status, /debug/pprof on http://%s\n", ln.Addr())
@@ -65,13 +44,8 @@ func serveMetrics(ctx context.Context, addr string, reg *metrics.Registry, statu
 				// ^C during the linger: stop waiting, start draining.
 			}
 		}
-		// Graceful drain with a bounded deadline, so an in-flight scrape
-		// finishes but a stuck connection cannot wedge process exit.
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(shutdownCtx); err != nil {
-			srv.Close()
-		}
+		stop()
+		<-done
 	}, nil
 }
 

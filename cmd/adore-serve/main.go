@@ -8,11 +8,12 @@
 //
 // Endpoints:
 //
-//	POST /run      one simulation by value; see internal/serve.RunRequest
-//	POST /sweep    one workload across policy columns, fork-grouped
-//	GET  /status   per-sweep job progress
-//	GET  /metrics  Prometheus text exposition (?format=json for JSON)
-//	GET  /healthz  liveness
+//	POST /run           one simulation by value; see internal/serve.RunRequest
+//	POST /sweep         one workload across policy columns, fork-grouped
+//	GET  /status        per-sweep job progress
+//	GET  /metrics       Prometheus text exposition (?format=json for JSON)
+//	GET  /healthz       liveness
+//	GET  /debug/pprof/  the Go runtime's profiler, for the service itself
 //
 // Responses are cached by request fingerprint in a sharded bounded-LRU
 // cache; a hit is byte-identical to the cold response, with the

@@ -1,9 +1,8 @@
 // adore-vet runs the repository's custom vet checks (internal/lint):
-// zero-allocation discipline in the simulator's run-loop files and
-// completeness of the obs event-name table. It is built on the standard
-// library's go/ast only — the module has no external dependencies, so
-// the usual `go vet -vettool` route is unavailable — and CI runs it as a
-// direct step.
+// zero-allocation discipline in the simulator's run-loop files. It is
+// built on the standard library's go/ast only — the module has no
+// external dependencies, so the usual `go vet -vettool` route is
+// unavailable — and CI runs it as a direct step.
 //
 // Usage:
 //
@@ -44,13 +43,12 @@ func main() {
 	for _, rel := range lint.HotPathFiles {
 		emit(lint.HotPath(filepath.Join(dir, rel)))
 	}
-	emit(lint.ObsNames(filepath.Join(dir, "internal", "obs", "obs.go")))
 
 	if findings > 0 {
 		fmt.Printf("\n%d vet finding(s)\n", findings)
 		os.Exit(1)
 	}
-	fmt.Printf("adore-vet: %d hot-path file(s) and the obs name table are clean\n", len(lint.HotPathFiles))
+	fmt.Printf("adore-vet: %d hot-path file(s) are clean\n", len(lint.HotPathFiles))
 }
 
 // findRoot walks up from the working directory to the nearest go.mod.

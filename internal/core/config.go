@@ -12,7 +12,10 @@
 //	r27-r30 → prefetch scheduling into free slots → trace patching.
 package core
 
-import "repro/internal/pmu"
+import (
+	"repro/internal/metrics"
+	"repro/internal/pmu"
+)
 
 // Config scales ADORE for simulated runs. The paper's wall-clock values
 // (100k-300k cycle sampling, 100 ms poll, multi-second windows) are scaled
@@ -136,10 +139,11 @@ type Config struct {
 	// ObserveCapacity bounds the event ring (obs.DefaultCapacity when 0).
 	ObserveCapacity int
 
-	// Telemetry is the controller's live metric set (telemetry.go). The
-	// zero value disables it for free; it is excluded from the run
-	// fingerprint (instruments observe a run without shaping its result).
-	Telemetry Telemetry `json:"-"`
+	// Metrics, when set, receives the controller's live adore_core_*
+	// counters, one per counted event kind (observe.go). Nil disables them
+	// for free; it is excluded from the run fingerprint (instruments
+	// observe a run without shaping its result).
+	Metrics *metrics.Registry `json:"-"`
 
 	// Policy names the prefetch policy driving §3 code injection. The
 	// empty string (and "paper") is the paper's slice-analysis pipeline;

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cpu"
 	"repro/internal/memsys"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/pmu"
 	"repro/internal/program"
@@ -58,6 +59,32 @@ type Stats struct {
 	SamplesDropped uint64 `json:",omitempty"`
 }
 
+// count records one decision event in its Stats field — the only place
+// the nine event-counted fields change (Controller.emit calls it).
+// Counter-sample kinds (CPIStack, PrefetchWindow) count nothing.
+func (s *Stats) count(k obs.Kind) {
+	switch k {
+	case obs.KindWindowObserved:
+		s.WindowsObserved++
+	case obs.KindPhaseDetected:
+		s.PhasesDetected++
+	case obs.KindPhaseChange:
+		s.PhaseChanges++
+	case obs.KindTraceSelected:
+		s.TracesSelected++
+	case obs.KindPatchInstalled:
+		s.TracesPatched++
+	case obs.KindVerifyReject:
+		s.VerifyRejects++
+	case obs.KindUnpatch:
+		s.Unpatches++
+	case obs.KindPolicySelected:
+		s.PolicySelections++
+	case obs.KindPolicySwitched:
+		s.PolicySwitches++
+	}
+}
+
 // TotalPrefetches returns the number of prefetch sequences inserted.
 func (s Stats) TotalPrefetches() int {
 	return s.DirectPrefetches + s.IndirectPrefetches + s.PointerPrefetches
@@ -105,6 +132,9 @@ type Controller struct {
 
 	// Observability state (Config.Observe; see observe.go).
 	obs observeState
+	// counters are the live adore_core_* metrics, indexed by event kind
+	// (kindMetrics); nil entries are disabled no-ops.
+	counters [len(kindMetrics)]*metrics.Counter
 
 	// OnWindow, when set, receives every profile window's metrics — the
 	// hook the harness uses to record the Fig. 8/9 time series.
@@ -159,6 +189,11 @@ func NewController(cfg Config, code *program.CodeSpace, p *pmu.PMU) (*Controller
 		c.obs.rec = obs.NewRecorder(cfg.ObserveCapacity)
 		c.obs.prevLoop = make(map[int]cpu.CPIStack)
 	}
+	for k, m := range kindMetrics {
+		if m.name != "" {
+			c.counters[k] = cfg.Metrics.Counter(m.name, m.help)
+		}
+	}
 	return c, nil
 }
 
@@ -177,10 +212,13 @@ func (c *Controller) Attach(m *cpu.CPU) {
 // (HandlerCyclesPerSample).
 func (c *Controller) onOverflow(samples []pmu.Sample) {
 	w := c.ueb.AddWindow(samples)
-	c.Stats.WindowsObserved++
-	c.cfg.Telemetry.WindowsObserved.Inc()
 	c.newWindows = append(c.newWindows, w)
-	c.observeWindow(w)
+	c.emit(obs.Event{
+		Cycle: w.EndCycle, Kind: obs.KindWindowObserved, Loop: -1,
+		A: uint64(w.Seq), B: uint64(w.DearEvents), C: w.Retired,
+		V: w.CPI, W: w.DPI,
+	})
+	c.observeWindow()
 	if c.OnWindow != nil {
 		c.OnWindow(w)
 	}
@@ -195,16 +233,18 @@ func (c *Controller) poll(now uint64) uint64 {
 		ev, info := c.phase.Observe(w)
 		switch ev {
 		case PhaseStable:
-			c.observePhaseDetected(now, info)
+			pc := uint64(info.PCCenter)
+			c.emit(obs.Event{
+				Cycle: now, Kind: obs.KindPhaseDetected, Loop: c.loopOf(pc), PC: pc,
+				A: uint64(len(info.Windows)), V: info.CPI, W: info.DearPerK,
+			})
 			charge += c.onStablePhase(now, info)
 		case PhaseChanged:
-			c.Stats.PhaseChanges++
-			c.cfg.Telemetry.PhaseChanges.Inc()
-			c.observePhaseChange(now)
+			c.emit(obs.Event{Cycle: now, Kind: obs.KindPhaseChange, Loop: -1})
 		}
 	}
 	c.newWindows = c.newWindows[:0]
-	charge += c.pollInstrumentation()
+	charge += c.pollInstrumentation(now)
 	c.Stats.TableHits = c.det.TableHits
 	c.Stats.TableMisses = c.det.TableMisses
 	if c.pmu != nil {
@@ -229,8 +269,6 @@ func sigMatches(list []float64, sig, tol float64) bool {
 // onStablePhase runs trace selection and optimization for a newly stable
 // phase, per §2.3-§3. now is the polling cycle, used to stamp events.
 func (c *Controller) onStablePhase(now uint64, info *PhaseInfo) uint64 {
-	c.Stats.PhasesDetected++
-	c.cfg.Telemetry.PhasesDetected.Inc()
 	tol := c.cfg.PCDev
 
 	// A phase executing inside the trace pool was already optimized:
@@ -268,10 +306,15 @@ func (c *Controller) onStablePhase(now uint64, info *PhaseInfo) uint64 {
 		recent = c.ueb.SamplesSince(info.Windows[0].Seq)
 	}
 	traces := c.trace.Select(info, samples)
-	c.Stats.TracesSelected += len(traces)
-	c.cfg.Telemetry.TracesSelected.Add(uint64(len(traces)))
 	for _, t := range traces {
-		c.observeTraceSelected(now, t)
+		var isLoop uint64
+		if t.IsLoop {
+			isLoop = 1
+		}
+		c.emit(obs.Event{
+			Cycle: now, Kind: obs.KindTraceSelected, Loop: c.loopOf(t.Start),
+			PC: t.Start, A: uint64(len(t.Bundles)), B: isLoop,
+		})
 	}
 
 	// One prefetch-policy decision per stable phase: with the selector on,
@@ -283,9 +326,12 @@ func (c *Controller) onStablePhase(now uint64, info *PhaseInfo) uint64 {
 	pol := c.pf
 	if c.sel != nil {
 		pol = c.sel.Pick(ctx)
-		c.Stats.PolicySelections++
-		c.cfg.Telemetry.PolicySelections.Inc()
-		c.observePolicySelected(now, info, pol.PolicyName())
+		pc := uint64(info.PCCenter)
+		c.emit(obs.Event{
+			Cycle: now, Kind: obs.KindPolicySelected, Loop: c.loopOf(pc), PC: pc,
+			// B is this selection's ordinal: the count after emit.
+			A: policyIndex(pol.PolicyName()), B: uint64(c.Stats.PolicySelections) + 1,
+		})
 	}
 
 	var charge uint64
@@ -321,10 +367,11 @@ func (c *Controller) onStablePhase(now uint64, info *PhaseInfo) uint64 {
 				*t = *cloneTrace(pristine)
 				if fres := fb.Optimize(t, loads, ctx); fres.Total() > 0 {
 					res = fres
-					c.Stats.PolicySwitches++
-					c.cfg.Telemetry.PolicySwitches.Inc()
 					c.sel.noteUse(fb.PolicyName())
-					c.observePolicySwitched(now, t, pol.PolicyName(), fb.PolicyName())
+					c.emit(obs.Event{
+						Cycle: now, Kind: obs.KindPolicySwitched, Loop: c.loopOf(t.Start),
+						PC: t.Start, A: policyIndex(pol.PolicyName()), B: policyIndex(fb.PolicyName()),
+					})
 				} else {
 					*t = *cloneTrace(pristine) // nothing worked: restore
 				}
@@ -346,10 +393,7 @@ func (c *Controller) onStablePhase(now uint64, info *PhaseInfo) uint64 {
 		if (res.Total() == 0 && instr == nil) || c.cfg.DisableInsertion {
 			continue
 		}
-		preFindings := len(c.findings)
-		if !c.verifyTrace(t, pristine) {
-			c.cfg.Telemetry.VerifyRejects.Inc()
-			c.observeVerifyReject(now, t, len(c.findings)-preFindings)
+		if !c.verifyTrace(now, t, pristine) {
 			continue // fail-safe: leave the original code unpatched
 		}
 		addr, err := c.pool.Install(t)
@@ -362,9 +406,10 @@ func (c *Controller) onStablePhase(now uint64, info *PhaseInfo) uint64 {
 		}
 		rec.TraceEnd = c.pool.seg.Base + uint64(c.pool.next)*16
 		c.patches = append(c.patches, rec)
-		c.Stats.TracesPatched++
-		c.cfg.Telemetry.TracesPatched.Inc()
-		c.observePatchInstalled(now, rec, res.Total())
+		c.emit(obs.Event{
+			Cycle: now, Kind: obs.KindPatchInstalled, Loop: c.loopOf(rec.Entry),
+			PC: rec.Entry, A: rec.TraceAddr, B: rec.TraceEnd, C: uint64(res.Total()),
+		})
 		charge += c.cfg.PatchCharge
 		if instr != nil {
 			instr.patch = rec
@@ -401,10 +446,11 @@ func (c *Controller) checkProfitability(now uint64, info *PhaseInfo) uint64 {
 		}
 		if info.CPI > rec.PrePatch*c.cfg.UnpatchSlowdown {
 			if err := undoPatch(c.code, rec); err == nil {
-				c.Stats.Unpatches++
-				c.cfg.Telemetry.Unpatches.Inc()
 				c.blacklist = append(c.blacklist, info.PCCenter)
-				c.observeUnpatch(now, rec, info.CPI)
+				c.emit(obs.Event{
+					Cycle: now, Kind: obs.KindUnpatch, Loop: c.loopOf(rec.Entry),
+					PC: rec.Entry, A: rec.TraceAddr, V: info.CPI, W: rec.PrePatch,
+				})
 				return c.cfg.PatchCharge
 			}
 		}
@@ -418,8 +464,13 @@ func (c *Controller) Patches() []*PatchRecord { return c.patches }
 // UnpatchAll restores the saved original bundle of every active patch —
 // the dyn_close path, and the hook the differential harness uses to check
 // that patching is fully reversible: after UnpatchAll the main code segment
-// must be bundle-for-bundle identical to the image as built.
+// must be bundle-for-bundle identical to the image as built. Each removal
+// is an Unpatch event with no observed phase CPI (V=0).
 func (c *Controller) UnpatchAll() error {
+	var now uint64
+	if c.obs.m != nil {
+		now = c.obs.m.Now()
+	}
 	for _, rec := range c.patches {
 		if !rec.Active {
 			continue
@@ -427,8 +478,10 @@ func (c *Controller) UnpatchAll() error {
 		if err := undoPatch(c.code, rec); err != nil {
 			return err
 		}
-		c.Stats.Unpatches++
-		c.cfg.Telemetry.Unpatches.Inc()
+		c.emit(obs.Event{
+			Cycle: now, Kind: obs.KindUnpatch, Loop: c.loopOf(rec.Entry),
+			PC: rec.Entry, A: rec.TraceAddr, W: rec.PrePatch,
+		})
 	}
 	return nil
 }

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/program"
 )
 
@@ -188,6 +190,8 @@ func TestControllerUnpatchesUnprofitableTrace(t *testing.T) {
 
 func TestControllerKeepsProfitableTrace(t *testing.T) {
 	cfg := testControllerConfig()
+	cfg.Observe = true
+	cfg.Metrics = metrics.NewRegistry()
 	cs := codeWith(t, loopBundles())
 	c, err := NewController(cfg, cs, nil)
 	if err != nil {
@@ -206,6 +210,25 @@ func TestControllerKeepsProfitableTrace(t *testing.T) {
 	feedStablePhase(c, float64(addr+0x10), 1.0, 0.01, 4)
 	if c.Stats.Unpatches != 0 || !rec.Active {
 		t.Fatalf("profitable trace unpatched: %+v", c.Stats)
+	}
+
+	// dyn_close removes it: one Unpatch in Stats, on the counter and in
+	// the ring, with no observed phase CPI.
+	if err := c.UnpatchAll(); err != nil {
+		t.Fatal(err)
+	}
+	var unpatches []obs.Event
+	for _, e := range c.Capture().Events {
+		if e.Kind == obs.KindUnpatch {
+			unpatches = append(unpatches, e)
+		}
+	}
+	counter := cfg.Metrics.Counter("adore_core_unpatches_total", "").Value()
+	if c.Stats.Unpatches != 1 || counter != 1 || len(unpatches) != 1 {
+		t.Fatalf("dyn_close: Stats %d, counter %d, events %d; want 1 each", c.Stats.Unpatches, counter, len(unpatches))
+	}
+	if e := unpatches[0]; e.PC != 0x1000 || e.A != addr || e.V != 0 || e.W != 2.0 {
+		t.Errorf("dyn_close unpatch event %+v", e)
 	}
 }
 

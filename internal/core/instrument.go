@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/memsys"
+	"repro/internal/obs"
 )
 
 // This file implements the paper's §6 "selective runtime instrumentation"
@@ -188,8 +189,8 @@ func (c *Controller) addInstrumentation(t *Trace, res OptimizeResult, info *Phas
 
 // pollInstrumentation evaluates live experiments: once enough addresses
 // are recorded it removes the instrumentation and, if a dominant stride
-// emerged, installs the profiled prefetch.
-func (c *Controller) pollInstrumentation() uint64 {
+// emerged, installs the profiled prefetch. now stamps the events.
+func (c *Controller) pollInstrumentation(now uint64) uint64 {
 	if len(c.instr) == 0 || c.mem == nil {
 		return 0
 	}
@@ -207,10 +208,12 @@ func (c *Controller) pollInstrumentation() uint64 {
 		}
 		charge += c.cfg.PatchCharge
 		t := cloneTrace(ir.origCopy)
+		var added uint64 // prefetches this reinstall adds to the clean copy
 		if ok {
 			// Add the discovered-stride prefetch to the clean copy.
 			if c.opt.emitProfiledDirect(t, ir.loadPC, ir.addrReg, stride, ir.avgLat, ir.phaseCPI) {
 				c.Stats.StrideFound++
+				added = 1
 			} else {
 				c.Stats.StrideProfileFailed++
 			}
@@ -220,8 +223,9 @@ func (c *Controller) pollInstrumentation() uint64 {
 		// The profiled prefetch was spliced at runtime like any other
 		// patch: verify it against the clean copy before reinstalling,
 		// and fall back to the clean copy itself when it fails.
-		if !c.verifyTrace(t, ir.origCopy) {
+		if !c.verifyTrace(now, t, ir.origCopy) {
 			t = cloneTrace(ir.origCopy)
+			added = 0
 		}
 		// Either way, reinstall the un-instrumented trace (it may carry
 		// the pattern prefetches found by slice analysis).
@@ -240,7 +244,10 @@ func (c *Controller) pollInstrumentation() uint64 {
 		}
 		rec.TraceEnd = c.pool.seg.Base + uint64(c.pool.next)*isa.BundleBytes
 		c.patches = append(c.patches, rec)
-		c.Stats.TracesPatched++
+		c.emit(obs.Event{
+			Cycle: now, Kind: obs.KindPatchInstalled, Loop: c.loopOf(rec.Entry),
+			PC: rec.Entry, A: rec.TraceAddr, B: rec.TraceEnd, C: added,
+		})
 		charge += c.cfg.PatchCharge
 	}
 	c.instr = keep

@@ -7,12 +7,37 @@ import (
 	"repro/internal/program"
 )
 
-// Observability wiring (Config.Observe): the controller stamps every step
-// of its pipeline — windows, phase events, trace selection, patching — into
-// an obs.Recorder on the simulated clock, and samples the CPU's CPI stack
-// and the hierarchy's prefetch-usefulness counters once per profile window.
-// With Observe off, rec stays nil and every emit call is a nil-receiver
-// no-op: the pipeline's behaviour and timing are untouched.
+// The controller's one event path: every pipeline decision is built as one
+// obs.Event and handed to emit, which counts it in Stats, bumps its live
+// adore_core_* counter and appends it to the event ring. Without Observe
+// the ring is nil, without Config.Metrics the counters are; nil-receiver
+// no-ops either way, so the pipeline's behaviour and timing are untouched.
+
+// kindMetrics names the live counter each counted event kind feeds. The
+// counters aggregate across every run wired to the same registry (per-run
+// totals live in Stats); result-cache hits run no controller and add
+// nothing.
+var kindMetrics = [...]struct{ name, help string }{
+	obs.KindWindowObserved: {"adore_core_windows_observed_total", "profile windows copied from the SSB"},
+	obs.KindPhaseDetected:  {"adore_core_phases_detected_total", "stable phases confirmed by the detector"},
+	obs.KindPhaseChange:    {"adore_core_phase_changes_total", "stable phases that ended"},
+	obs.KindTraceSelected:  {"adore_core_traces_selected_total", "candidate traces produced by selection"},
+	obs.KindPatchInstalled: {"adore_core_patches_installed_total", "traces patched live into the pool"},
+	obs.KindVerifyReject:   {"adore_core_verify_rejects_total", "traces the static verifier refused"},
+	obs.KindUnpatch:        {"adore_core_unpatches_total", "patches removed (unprofitable or dyn_close)"},
+	obs.KindPolicySelected: {"adore_core_policy_selections_total", "per-phase prefetch-policy decisions"},
+	obs.KindPolicySwitched: {"adore_core_policy_switches_total", "selector fallbacks after an empty optimize"},
+}
+
+// emit records one event on all three views: Stats, the live counter and
+// the ring.
+func (c *Controller) emit(e obs.Event) {
+	c.Stats.count(e.Kind)
+	if int(e.Kind) < len(c.counters) {
+		c.counters[e.Kind].Inc()
+	}
+	c.obs.rec.Emit(e)
+}
 
 // observeState is the controller's recorder plus the previous-window
 // snapshots the per-window counter deltas difference against.
@@ -68,146 +93,54 @@ func (c *Controller) loopOf(pc uint64) int32 {
 	return -1
 }
 
-// observeWindow emits the per-window events: the window itself (stamped at
-// its end cycle), then the CPI-stack deltas (whole-core and per loop, when
-// the CPU runs with Accounting), then the prefetch-usefulness deltas. The
-// counter events are stamped at the snapshot instant — the CPU clock at
-// overflow delivery, which can trail EndCycle by the monitoring cycles
-// charged between windows (patch installation, handler cost) — so
-// consecutive core-level CPIStack deltas sum exactly to the cycles between
-// their stamps.
-func (c *Controller) observeWindow(w WindowMetrics) {
+// observeWindow samples the per-window counters under Observe: the
+// CPI-stack deltas (whole-core and per loop, when the CPU runs with
+// Accounting), then the prefetch-usefulness deltas. The events are stamped
+// at the snapshot instant — the CPU clock at overflow delivery, which can
+// trail the window's EndCycle by the monitoring cycles charged between
+// windows (patch installation, handler cost) — so consecutive core-level
+// CPIStack deltas sum exactly to the cycles between their stamps.
+func (c *Controller) observeWindow() {
 	o := &c.obs
-	if o.rec == nil {
+	if o.rec == nil || o.m == nil {
 		return
 	}
-	o.rec.Emit(obs.Event{
-		Cycle: w.EndCycle, Kind: obs.KindWindowObserved, Loop: -1,
-		A: uint64(w.Seq), B: uint64(w.DearEvents), C: w.Retired,
-		V: w.CPI, W: w.DPI,
-	})
-
-	if o.m != nil {
-		now := o.m.Now()
-		if stack, ok := o.m.Accounting(); ok {
-			d := stack.Sub(o.prevStack)
-			o.prevStack = stack
-			o.rec.Emit(obs.Event{
-				Cycle: now, Kind: obs.KindCPIStack, Loop: -1,
-				A: d.Busy, B: d.LoadStall, C: d.Flush, D: d.Fetch,
-			})
-			loops := o.m.LoopAccounting()
-			for _, id := range o.m.LoopIDs() {
-				ld := loops[id].Sub(o.prevLoop[id])
-				o.prevLoop[id] = loops[id]
-				if ld.Total() == 0 || id < 0 {
-					continue // idle loop this window; core already emitted
-				}
-				o.rec.Emit(obs.Event{
-					Cycle: now, Kind: obs.KindCPIStack, Loop: int32(id),
-					A: ld.Busy, B: ld.LoadStall, C: ld.Flush, D: ld.Fetch,
-				})
+	now := o.m.Now()
+	if stack, ok := o.m.Accounting(); ok {
+		d := stack.Sub(o.prevStack)
+		o.prevStack = stack
+		c.emit(obs.Event{
+			Cycle: now, Kind: obs.KindCPIStack, Loop: -1,
+			A: d.Busy, B: d.LoadStall, C: d.Flush, D: d.Fetch,
+		})
+		loops := o.m.LoopAccounting()
+		for _, id := range o.m.LoopIDs() {
+			ld := loops[id].Sub(o.prevLoop[id])
+			o.prevLoop[id] = loops[id]
+			if ld.Total() == 0 || id < 0 {
+				continue // idle loop this window; core already emitted
 			}
-		}
-
-		if h := o.m.Hier; h != nil {
-			pf := h.Prefetch()
-			d := pf.Sub(o.prevPf)
-			o.prevPf = pf
-			l1d := h.L1D.Stats
-			var missRatio float64
-			if acc := l1d.Accesses - o.prevL1D.Accesses; acc > 0 {
-				missRatio = float64(l1d.Misses-o.prevL1D.Misses) / float64(acc)
-			}
-			o.prevL1D = l1d
-			o.rec.Emit(obs.Event{
-				Cycle: now, Kind: obs.KindPrefetchWindow, Loop: -1,
-				A: d.Issued, B: d.Useful, C: d.Late, D: d.EvictedUnused,
-				V: missRatio,
+			c.emit(obs.Event{
+				Cycle: now, Kind: obs.KindCPIStack, Loop: int32(id),
+				A: ld.Busy, B: ld.LoadStall, C: ld.Flush, D: ld.Fetch,
 			})
 		}
 	}
-}
 
-func (c *Controller) observePhaseDetected(now uint64, info *PhaseInfo) {
-	if c.obs.rec == nil {
-		return
+	if h := o.m.Hier; h != nil {
+		pf := h.Prefetch()
+		d := pf.Sub(o.prevPf)
+		o.prevPf = pf
+		l1d := h.L1D.Stats
+		var missRatio float64
+		if acc := l1d.Accesses - o.prevL1D.Accesses; acc > 0 {
+			missRatio = float64(l1d.Misses-o.prevL1D.Misses) / float64(acc)
+		}
+		o.prevL1D = l1d
+		c.emit(obs.Event{
+			Cycle: now, Kind: obs.KindPrefetchWindow, Loop: -1,
+			A: d.Issued, B: d.Useful, C: d.Late, D: d.EvictedUnused,
+			V: missRatio,
+		})
 	}
-	pc := uint64(info.PCCenter)
-	c.obs.rec.Emit(obs.Event{
-		Cycle: now, Kind: obs.KindPhaseDetected, Loop: c.loopOf(pc), PC: pc,
-		A: uint64(len(info.Windows)), V: info.CPI, W: info.DearPerK,
-	})
-}
-
-func (c *Controller) observePhaseChange(now uint64) {
-	if c.obs.rec == nil {
-		return
-	}
-	c.obs.rec.Emit(obs.Event{Cycle: now, Kind: obs.KindPhaseChange, Loop: -1})
-}
-
-func (c *Controller) observeTraceSelected(now uint64, t *Trace) {
-	if c.obs.rec == nil {
-		return
-	}
-	var isLoop uint64
-	if t.IsLoop {
-		isLoop = 1
-	}
-	c.obs.rec.Emit(obs.Event{
-		Cycle: now, Kind: obs.KindTraceSelected, Loop: c.loopOf(t.Start),
-		PC: t.Start, A: uint64(len(t.Bundles)), B: isLoop,
-	})
-}
-
-func (c *Controller) observeVerifyReject(now uint64, t *Trace, findings int) {
-	if c.obs.rec == nil {
-		return
-	}
-	c.obs.rec.Emit(obs.Event{
-		Cycle: now, Kind: obs.KindVerifyReject, Loop: c.loopOf(t.Start),
-		PC: t.Start, A: uint64(findings),
-	})
-}
-
-func (c *Controller) observePatchInstalled(now uint64, rec *PatchRecord, prefetches int) {
-	if c.obs.rec == nil {
-		return
-	}
-	c.obs.rec.Emit(obs.Event{
-		Cycle: now, Kind: obs.KindPatchInstalled, Loop: c.loopOf(rec.Entry),
-		PC: rec.Entry, A: rec.TraceAddr, B: rec.TraceEnd, C: uint64(prefetches),
-	})
-}
-
-func (c *Controller) observePolicySelected(now uint64, info *PhaseInfo, name string) {
-	if c.obs.rec == nil {
-		return
-	}
-	pc := uint64(info.PCCenter)
-	c.obs.rec.Emit(obs.Event{
-		Cycle: now, Kind: obs.KindPolicySelected, Loop: c.loopOf(pc), PC: pc,
-		A: policyIndex(name), B: uint64(c.Stats.PolicySelections),
-	})
-}
-
-func (c *Controller) observePolicySwitched(now uint64, t *Trace, from, to string) {
-	if c.obs.rec == nil {
-		return
-	}
-	c.obs.rec.Emit(obs.Event{
-		Cycle: now, Kind: obs.KindPolicySwitched, Loop: c.loopOf(t.Start),
-		PC: t.Start, A: policyIndex(from), B: policyIndex(to),
-	})
-}
-
-func (c *Controller) observeUnpatch(now uint64, rec *PatchRecord, cpi float64) {
-	if c.obs.rec == nil {
-		return
-	}
-	c.obs.rec.Emit(obs.Event{
-		Cycle: now, Kind: obs.KindUnpatch, Loop: c.loopOf(rec.Entry),
-		PC: rec.Entry, A: rec.TraceAddr, V: cpi, W: rec.PrePatch,
-	})
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/memsys"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/program"
 	"repro/internal/verify"
@@ -290,12 +291,14 @@ func TestPolicyAdapterNames(t *testing.T) {
 	}
 }
 
-// TestObservePolicyEvents pins the event shape the selector emits: indices
-// resolve through the capture's policy name table.
+// TestObservePolicyEvents pins the event shape the selector emits — indices
+// resolve through the capture's policy name table — and that emit lands
+// each event on all three views: the ring, Stats and the live counter.
 func TestObservePolicyEvents(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Observe = true
 	cfg.Selector = true
+	cfg.Metrics = metrics.NewRegistry()
 	c, err := NewController(cfg, program.NewCodeSpace(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -304,11 +307,11 @@ func TestObservePolicyEvents(t *testing.T) {
 		t.Fatal("Observe config did not arm the recorder")
 	}
 
-	info := &PhaseInfo{PCCenter: 0x2000}
-	c.Stats.PolicySelections = 1
-	c.observePolicySelected(100, info, PolicyAdaptive)
+	c.emit(obs.Event{Cycle: 100, Kind: obs.KindPolicySelected, Loop: -1, PC: 0x2000,
+		A: policyIndex(PolicyAdaptive), B: 1})
 	tr, _ := policyTrace()
-	c.observePolicySwitched(200, tr, PolicyPaper, PolicyNextLine)
+	c.emit(obs.Event{Cycle: 200, Kind: obs.KindPolicySwitched, Loop: -1, PC: tr.Start,
+		A: policyIndex(PolicyPaper), B: policyIndex(PolicyNextLine)})
 
 	cp := c.Capture()
 	if cp == nil || len(cp.Events) != 2 {
@@ -325,6 +328,16 @@ func TestObservePolicyEvents(t *testing.T) {
 	if sw.Kind != obs.KindPolicySwitched ||
 		cp.Meta.Policies[sw.A] != PolicyPaper || cp.Meta.Policies[sw.B] != PolicyNextLine {
 		t.Errorf("switched event %+v does not resolve to %q→%q", sw, PolicyPaper, PolicyNextLine)
+	}
+
+	if c.Stats.PolicySelections != 1 || c.Stats.PolicySwitches != 1 {
+		t.Errorf("Stats counted %d selections and %d switches, want 1 and 1",
+			c.Stats.PolicySelections, c.Stats.PolicySwitches)
+	}
+	for _, name := range []string{"adore_core_policy_selections_total", "adore_core_policy_switches_total"} {
+		if v := cfg.Metrics.Counter(name, "").Value(); v != 1 {
+			t.Errorf("%s = %d, want 1", name, v)
+		}
 	}
 }
 

@@ -53,6 +53,7 @@ func TestControllerSnapshotFieldCoverage(t *testing.T) {
 		"findings":   "captured",
 		"obs":        "enablement validated; recorder contents and delta baselines captured",
 		"Stats":      "captured",
+		"counters":   "structural: resolved from cfg.Metrics by NewController; fleet-wide instruments, not run state",
 
 		"OnWindow":      "host closure, re-registered by the resuming assembly",
 		"OnOptimize":    "host closure, re-registered by the resuming assembly",

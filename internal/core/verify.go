@@ -1,6 +1,9 @@
 package core
 
-import "repro/internal/verify"
+import (
+	"repro/internal/obs"
+	"repro/internal/verify"
+)
 
 // This file wires the static machine-code verifier (internal/verify) into
 // the dynamic optimizer. Behind Config.Verify (on by default), every trace
@@ -23,10 +26,10 @@ func (t *Trace) View() verify.TraceView {
 }
 
 // verifyTrace checks an edited trace against the pristine clone its edits
-// started from. It reports true when the trace is safe to install. Findings
-// are accumulated for inspection (Findings, cmd/adore-lint) and counted in
-// Stats.
-func (c *Controller) verifyTrace(t, pristine *Trace) bool {
+// started from. It reports true when the trace is safe to install. A
+// rejection is a VerifyReject event stamped at now; its findings are
+// accumulated for inspection (Findings, cmd/adore-lint).
+func (c *Controller) verifyTrace(now uint64, t, pristine *Trace) bool {
 	if !c.cfg.Verify {
 		return true
 	}
@@ -40,8 +43,11 @@ func (c *Controller) verifyTrace(t, pristine *Trace) bool {
 	if len(fs) == 0 {
 		return true
 	}
-	c.Stats.VerifyRejects++
 	c.findings = append(c.findings, fs...)
+	c.emit(obs.Event{
+		Cycle: now, Kind: obs.KindVerifyReject, Loop: c.loopOf(t.Start),
+		PC: t.Start, A: uint64(len(fs)),
+	})
 	return false
 }
 

@@ -28,7 +28,7 @@ func TestVerifyTraceRejectsClobber(t *testing.T) {
 	pristine := cloneTrace(tr)
 	tr.Bundles[0].Slots[1] = isa.Inst{Op: isa.OpAddI, R1: 10, Imm: 8, R3: 10}
 
-	if c.verifyTrace(tr, pristine) {
+	if c.verifyTrace(0, tr, pristine) {
 		t.Fatal("trace clobbering a live register passed verification")
 	}
 	if c.Stats.TracesVerified != 1 || c.Stats.VerifyRejects != 1 {
@@ -48,7 +48,7 @@ func TestVerifyTraceRejectsClobber(t *testing.T) {
 func TestVerifyTraceAcceptsUntouchedTrace(t *testing.T) {
 	c := testController(t, DefaultConfig())
 	tr := twoBundleLoop()
-	if !c.verifyTrace(tr, cloneTrace(tr)) {
+	if !c.verifyTrace(0, tr, cloneTrace(tr)) {
 		t.Fatalf("pristine trace rejected: %v", c.Findings())
 	}
 	if c.Stats.TracesVerified != 1 || c.Stats.VerifyRejects != 0 {
@@ -63,7 +63,7 @@ func TestVerifyDisabledAcceptsAnything(t *testing.T) {
 	tr := twoBundleLoop()
 	pristine := cloneTrace(tr)
 	tr.Bundles[0].Slots[1] = isa.Inst{Op: isa.OpAddI, R1: 10, Imm: 8, R3: 10}
-	if !c.verifyTrace(tr, pristine) {
+	if !c.verifyTrace(0, tr, pristine) {
 		t.Fatal("verifyTrace rejected with Verify off")
 	}
 	if c.Stats.TracesVerified != 0 {
@@ -87,7 +87,7 @@ func TestOptimizerOutputVerifies(t *testing.T) {
 	if res.Total() == 0 {
 		t.Fatal("optimizer inserted nothing")
 	}
-	if !c.verifyTrace(tr, pristine) {
+	if !c.verifyTrace(0, tr, pristine) {
 		t.Fatalf("optimizer output rejected: %v", c.Findings())
 	}
 }

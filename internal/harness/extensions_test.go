@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/compiler"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/pmu"
 	"repro/internal/workloads"
 )
@@ -196,6 +197,7 @@ func TestExtensionStrideProfiling(t *testing.T) {
 	}
 
 	rc.Core.StrideProfiling = true
+	rc.Observe = true
 	ext, err := Run(build, rc)
 	if err != nil {
 		t.Fatal(err)
@@ -205,6 +207,17 @@ func TestExtensionStrideProfiling(t *testing.T) {
 	}
 	if ext.Core.StrideFound == 0 {
 		t.Fatalf("hidden 40-byte stride not discovered: %+v", *ext.Core)
+	}
+	// The reinstall with the profiled prefetch is a patch like any other:
+	// one PatchInstalled event per patch Stats counts.
+	installs := 0
+	for _, e := range ext.Obs.Events {
+		if e.Kind == obs.KindPatchInstalled {
+			installs++
+		}
+	}
+	if installs != ext.Core.TracesPatched {
+		t.Errorf("%d PatchInstalled events, Stats counts %d patches", installs, ext.Core.TracesPatched)
 	}
 	_ = base
 	sp := Speedup(stock.CPU.Cycles, ext.CPU.Cycles)

@@ -298,12 +298,7 @@ func TestForkProbeCaptureMin(t *testing.T) {
 // straight engine's, and must pass the checked-in policy golden
 // unmodified. The fork statistics must show real warmup sharing.
 func TestForkPolicyMatrixBitIdentical(t *testing.T) {
-	cfg := GoldenExpConfig()
-	cfg.Engine = NewEngine(EngineConfig{})
-	straight, err := RunPolicyMatrix(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	straight := straightPolicyMatrix(t)
 	fcfg := GoldenExpConfig()
 	fcfg.Engine = NewEngine(EngineConfig{})
 	forked, stats, err := RunPolicyMatrixForkedContext(context.Background(), fcfg)

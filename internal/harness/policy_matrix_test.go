@@ -5,6 +5,7 @@ import (
 	"flag"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/compiler"
@@ -17,6 +18,31 @@ var updatePolicyGolden = flag.Bool("update-policy-golden", false,
 
 const policyGoldenPath = "testdata/golden/policy_matrix.json"
 
+// straightMatrix holds the golden-scale straight policy matrix, swept once
+// per test binary: TestPolicyMatrixGolden and
+// TestForkPolicyMatrixBitIdentical both check the same sweep, which costs
+// seconds. It is computed in-process on first use, so -update-policy-golden
+// still regenerates from a fresh sweep. Callers must not mutate it.
+var straightMatrix struct {
+	once sync.Once
+	m    *PolicyMatrixResult
+	err  error
+}
+
+// straightPolicyMatrix returns the shared straight sweep.
+func straightPolicyMatrix(t *testing.T) *PolicyMatrixResult {
+	t.Helper()
+	straightMatrix.once.Do(func() {
+		cfg := GoldenExpConfig()
+		cfg.Engine = NewEngine(EngineConfig{})
+		straightMatrix.m, straightMatrix.err = RunPolicyMatrix(cfg)
+	})
+	if straightMatrix.err != nil {
+		t.Fatal(straightMatrix.err)
+	}
+	return straightMatrix.m
+}
+
 // TestPolicyMatrixGolden re-runs the full policy matrix at the corpus scale
 // and compares it against its own golden section — a separate file from the
 // paper corpus, so regenerating one can never silently move the other. The
@@ -26,11 +52,7 @@ const policyGoldenPath = "testdata/golden/policy_matrix.json"
 // non-paper policy.
 func TestPolicyMatrixGolden(t *testing.T) {
 	cfg := GoldenExpConfig()
-	cfg.Engine = NewEngine(EngineConfig{})
-	m, err := RunPolicyMatrix(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := straightPolicyMatrix(t)
 
 	if *updatePolicyGolden {
 		g := &PolicyGolden{Scale: cfg.Scale, Tol: DefaultGoldenTolerance(), Policies: m.Policies}

@@ -63,7 +63,7 @@ type RunConfig struct {
 	Profile uint64
 
 	// Metrics, when set, wires this run's controller to a live metric
-	// registry (core.Telemetry). Excluded from the fingerprint like
+	// registry (core.Config.Metrics: the adore_core_* counters). Excluded from the fingerprint like
 	// OnOptimize: instruments observe a run without shaping its result,
 	// and a metrics-carrying run may share a result-cache entry with a
 	// bare one.
@@ -235,9 +235,7 @@ func runImage(ctx context.Context, img *program.Image, cfg RunConfig, probe *for
 		cfg.Core.Observe = true
 		cfg.CPU.Accounting = true
 	}
-	if cfg.Metrics != nil {
-		cfg.Core.Telemetry = core.NewTelemetry(cfg.Metrics)
-	}
+	cfg.Core.Metrics = cfg.Metrics
 	needPMU := cfg.ADORE || cfg.SampleOnly
 	if needPMU {
 		p = pmu.New(cfg.Core.Sampling)

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/compiler"
-	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/workloads"
@@ -279,13 +278,14 @@ func firstPprofRow(out string) string {
 }
 
 // TestTelemetryOverhead guards the overhead bound of the full telemetry
-// stack (metric registry + controller telemetry + cycle sampler) with
-// deterministic checks: the instrumented run simulates exactly what the
-// bare run does, every controller counter fired once per action Stats
-// counts, and the sampler fired at most once per interval. That the
-// sampler allocates per sampled bundle and never per executed bundle is
-// TestRunLoopAllocsObserved (internal/cpu); the wall-clock comparison is
-// BenchmarkTelemetryOverhead.
+// stack (metric registry + event recorder + controller counters + cycle
+// sampler) with deterministic checks: the instrumented run simulates
+// exactly what the bare run does, every counted decision kind shows the
+// same total as recorded events, as its Stats field and as its
+// adore_core_* counter, and the sampler fired at most once per interval.
+// That the sampler allocates per sampled bundle and never per executed
+// bundle is TestRunLoopAllocsObserved (internal/cpu); the wall-clock
+// comparison is BenchmarkTelemetryOverhead.
 func TestTelemetryOverhead(t *testing.T) {
 	const interval = 4093
 	build := obsBuild(t, "mcf", 0.1)
@@ -297,6 +297,7 @@ func TestTelemetryOverhead(t *testing.T) {
 	}
 	reg := metrics.NewRegistry()
 	rc.Metrics = reg
+	rc.Observe = true
 	rc.Profile = interval
 	on, err := Run(build, rc)
 	if err != nil {
@@ -304,30 +305,38 @@ func TestTelemetryOverhead(t *testing.T) {
 	}
 	sameSimulation(t, "telemetry", on, off)
 
-	// The registry hands back the counters the run incremented.
-	tel := core.NewTelemetry(reg)
 	c := on.Core
 	if c.WindowsObserved == 0 || c.TracesPatched == 0 {
 		t.Fatalf("run observed %d windows and patched %d traces; the counts below would be vacuous",
 			c.WindowsObserved, c.TracesPatched)
 	}
+	if on.Obs.Dropped != 0 {
+		t.Fatalf("recorder dropped %d events; the counts below would be partial", on.Obs.Dropped)
+	}
+	events := map[obs.Kind]int{}
+	for _, e := range on.Obs.Events {
+		events[e.Kind]++
+	}
+	// The registry hands back, by name, the counters the run incremented.
 	for _, m := range []struct {
-		name string
-		got  uint64
-		want int
+		kind   obs.Kind
+		metric string
+		stat   int
 	}{
-		{"windows observed", tel.WindowsObserved.Value(), c.WindowsObserved},
-		{"phases detected", tel.PhasesDetected.Value(), c.PhasesDetected},
-		{"phase changes", tel.PhaseChanges.Value(), c.PhaseChanges},
-		{"traces selected", tel.TracesSelected.Value(), c.TracesSelected},
-		{"traces patched", tel.TracesPatched.Value(), c.TracesPatched},
-		{"unpatches", tel.Unpatches.Value(), c.Unpatches},
-		{"verify rejects", tel.VerifyRejects.Value(), c.VerifyRejects},
-		{"policy selections", tel.PolicySelections.Value(), c.PolicySelections},
-		{"policy switches", tel.PolicySwitches.Value(), c.PolicySwitches},
+		{obs.KindWindowObserved, "adore_core_windows_observed_total", c.WindowsObserved},
+		{obs.KindPhaseDetected, "adore_core_phases_detected_total", c.PhasesDetected},
+		{obs.KindPhaseChange, "adore_core_phase_changes_total", c.PhaseChanges},
+		{obs.KindTraceSelected, "adore_core_traces_selected_total", c.TracesSelected},
+		{obs.KindPatchInstalled, "adore_core_patches_installed_total", c.TracesPatched},
+		{obs.KindUnpatch, "adore_core_unpatches_total", c.Unpatches},
+		{obs.KindVerifyReject, "adore_core_verify_rejects_total", c.VerifyRejects},
+		{obs.KindPolicySelected, "adore_core_policy_selections_total", c.PolicySelections},
+		{obs.KindPolicySwitched, "adore_core_policy_switches_total", c.PolicySwitches},
 	} {
-		if m.got != uint64(m.want) {
-			t.Errorf("%s counter = %d, want %d (one per counted action)", m.name, m.got, m.want)
+		counter := reg.Counter(m.metric, "").Value()
+		if events[m.kind] != m.stat || counter != uint64(m.stat) {
+			t.Errorf("%v: %d events, Stats %d, %s %d; want all equal (one per counted action)",
+				m.kind, events[m.kind], m.stat, m.metric, counter)
 		}
 	}
 

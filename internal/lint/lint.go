@@ -10,8 +10,6 @@
 //     or call time.Now / fmt.* per step. Constructors (New*), String
 //     methods, and functions marked with an //adore:coldpath directive
 //     are exempt.
-//   - obsnames: every obs.Kind* constant must have an entry in the
-//     package's kindNames table, so events never print as "Kind?".
 package lint
 
 import (
@@ -22,7 +20,7 @@ import (
 // Finding is one vet diagnostic at a source position.
 type Finding struct {
 	Pos   token.Position
-	Check string // "hotpath" or "obsnames"
+	Check string // "hotpath"
 	Msg   string
 }
 

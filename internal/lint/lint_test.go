@@ -122,75 +122,10 @@ func hot() []int { return make([]int, 1) }
 	}
 }
 
-func TestObsNamesComplete(t *testing.T) {
-	p := writeSrc(t, `package obs
-
-type Kind uint8
-
-const (
-	KindA Kind = iota
-	KindB
-)
-
-var kindNames = [...]string{
-	KindA: "A",
-	KindB: "B",
-}
-`)
-	fs, err := ObsNames(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fs) != 0 {
-		t.Errorf("complete table flagged: %q", msgs(fs))
-	}
-}
-
-func TestObsNamesMissingEntry(t *testing.T) {
-	p := writeSrc(t, `package obs
-
-type Kind uint8
-
-const (
-	KindA Kind = iota
-	KindB
-	KindC
-)
-
-var kindNames = [...]string{
-	KindA: "A",
-	KindC: "C",
-}
-`)
-	fs, err := ObsNames(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fs) != 1 || !strings.Contains(fs[0].Msg, "KindB") {
-		t.Errorf("want exactly one finding for KindB, got %q", msgs(fs))
-	}
-}
-
-func TestObsNamesNoTable(t *testing.T) {
-	p := writeSrc(t, `package obs
-
-type Kind uint8
-
-const KindA Kind = 0
-`)
-	fs, err := ObsNames(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fs) != 1 || !strings.Contains(fs[0].Msg, "kindNames table not found") {
-		t.Errorf("want a missing-table finding, got %q", msgs(fs))
-	}
-}
-
-// TestRepoIsClean runs both checks over the real tree, pinning the
+// TestRepoIsClean runs the hot-path check over the real tree, pinning the
 // calibration: the run-loop files allocate only in constructors and
-// //adore:coldpath functions, and the obs name table is complete. This is
-// the same sweep cmd/adore-vet performs.
+// //adore:coldpath functions. This is the same sweep cmd/adore-vet
+// performs.
 func TestRepoIsClean(t *testing.T) {
 	root := filepath.Join("..", "..")
 	for _, rel := range HotPathFiles {
@@ -201,12 +136,5 @@ func TestRepoIsClean(t *testing.T) {
 		for _, f := range fs {
 			t.Errorf("%s", f)
 		}
-	}
-	fs, err := ObsNames(filepath.Join(root, "internal", "obs", "obs.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range fs {
-		t.Errorf("%s", f)
 	}
 }

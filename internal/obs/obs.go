@@ -37,12 +37,14 @@ const (
 	KindTraceSelected
 	// KindPatchInstalled: a trace went live in the pool.
 	// PC=patched entry, A=trace pool address, B=first address past the
-	// trace, C=prefetches inserted.
+	// trace, C=prefetches inserted (by a stride-profiling reinstall: the
+	// profiled prefetch it adds, 0 or 1).
 	KindPatchInstalled
 	// KindVerifyReject: the static verifier refused a trace.
 	// PC=trace start, A=error-severity findings.
 	KindVerifyReject
-	// KindUnpatch: a non-profitable trace was removed.
+	// KindUnpatch: a patch was removed — a non-profitable trace, or any
+	// live patch at dyn_close (Controller.UnpatchAll, V=0 there).
 	// PC=patched entry, A=trace pool address, V=observed phase CPI,
 	// W=pre-patch CPI.
 	KindUnpatch
@@ -64,9 +66,14 @@ const (
 	// trace and the selector fell back. PC=trace start, A=from-policy
 	// index, B=to-policy index (both into Meta.Policies).
 	KindPolicySwitched
+
+	// kindCount is one past the last kind. A kind missing from kindNames
+	// leaves a hole the compiler cannot see; TestKindNamesComplete checks
+	// every kind below kindCount has a name.
+	kindCount
 )
 
-var kindNames = [...]string{
+var kindNames = [kindCount]string{
 	KindWindowObserved: "WindowObserved",
 	KindPhaseDetected:  "PhaseDetected",
 	KindPhaseChange:    "PhaseChange",
@@ -81,7 +88,7 @@ var kindNames = [...]string{
 }
 
 func (k Kind) String() string {
-	if int(k) < len(kindNames) {
+	if k < kindCount && kindNames[k] != "" {
 		return kindNames[k]
 	}
 	return "Kind?"

@@ -97,3 +97,17 @@ func BenchmarkRecorderDisabled(b *testing.B) {
 		r.Emit(e)
 	}
 }
+
+// TestKindNamesComplete: every Kind needs a kindNames entry, or its events
+// print as "Kind?" in every log and trace — a gap the keyed array literal
+// hides from the compiler.
+func TestKindNamesComplete(t *testing.T) {
+	for k := Kind(0); k < kindCount; k++ {
+		if k.String() == "Kind?" {
+			t.Errorf("Kind %d has no kindNames entry", k)
+		}
+	}
+	if kindCount.String() != "Kind?" {
+		t.Errorf("kindCount sentinel prints %q, want Kind?", kindCount.String())
+	}
+}

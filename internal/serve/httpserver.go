@@ -5,8 +5,33 @@ import (
 	"errors"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"time"
+
+	"repro/internal/metrics"
 )
+
+// ObservabilityMux returns a mux serving the process's observability
+// surface — the one both adore-serve and adore-bench -metrics-addr expose:
+//
+//	/metrics       Prometheus text exposition of reg (?format=json for JSON)
+//	/status        per-sweep job progress as JSON
+//	/debug/pprof/  the Go runtime's profiler, for the host process itself
+//
+// The pprof handlers normally self-register on http.DefaultServeMux at
+// import; wiring them here keeps the mux self-contained. Callers add their
+// own routes to the returned mux.
+func ObservabilityMux(reg *metrics.Registry, status *StatusTracker) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.Handle("/metrics", metrics.Handler(reg))
+	mux.Handle("/status", status)
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
+}
 
 // Hardened wraps a handler in an http.Server with the timeouts a
 // long-running service must set: without ReadHeaderTimeout/ReadTimeout a

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 )
@@ -26,6 +27,20 @@ func TestHardenedTimeouts(t *testing.T) {
 	}
 	if srv.MaxHeaderBytes <= 0 {
 		t.Error("MaxHeaderBytes unset")
+	}
+}
+
+// TestObservabilitySurface pins the one observability surface adore-serve
+// and adore-bench share: the service's handler answers /metrics, /status
+// and /debug/pprof/ alongside its own routes.
+func TestObservabilitySurface(t *testing.T) {
+	h := New(Config{Parallelism: 1}).Handler()
+	for _, path := range []string{"/metrics", "/status", "/debug/pprof/", "/healthz"} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusOK {
+			t.Errorf("GET %s = %d, want 200", path, rec.Code)
+		}
 	}
 }
 

@@ -85,15 +85,13 @@ func New(cfg Config) *Server {
 		Metrics:        reg,
 		ResultCacheCap: cfg.EngineResultCap,
 	})
-	s.mux = http.NewServeMux()
+	s.mux = ObservabilityMux(reg, s.status)
 	s.mux.HandleFunc("/run", s.handleRun)
 	s.mux.HandleFunc("/sweep", s.handleSweep)
 	s.mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
 	})
-	s.mux.Handle("/metrics", metrics.Handler(reg))
-	s.mux.Handle("/status", s.status)
 	return s
 }
 
