@@ -3,7 +3,7 @@
 // Usage:
 //
 //	adore-bench [-exp fig7a|fig7b|table1|table2|fig8|fig9|fig10|fig11|policymatrix|all] [-scale 1.0] [-j 0] [-json]
-//	adore-bench -bench mcf [-scale 1.0] -trace out.json [-events out.jsonl]
+//	adore-bench -exp policymatrix -fork [-fork-json out.json]
 //	adore-bench ... [-cpuprofile cpu.prof] [-memprofile mem.prof]
 //	adore-bench ... [-metrics-addr :8123] [-linger 30s]
 //
@@ -13,10 +13,12 @@
 // 1 = serial), one build cache is shared across all selected experiments,
 // and ^C cancels in-flight simulations cleanly.
 //
-// The second form runs ONE benchmark under ADORE with the observability
-// layer on and exports the recorded event stream: -trace writes a Chrome
-// trace-event file loadable in Perfetto (ui.perfetto.dev), -events a JSONL
-// stream. See DESIGN.md §10.
+// The second form runs the policy-matrix sweep on the checkpoint/fork
+// engine (DESIGN.md §16); -fork-json, which requires -fork, writes its
+// throughput summary. Either flag with an -exp that skips the policy
+// matrix is a usage error (exit status 2). One observed ADORE run with
+// its event stream exported is adore-trace's job (adore-trace -trace and
+// -events).
 //
 // -metrics-addr serves live telemetry while the sweeps run — Prometheus
 // text on /metrics, per-sweep progress JSON on /status, and the Go
@@ -32,7 +34,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -42,7 +43,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/metrics"
 	"repro/internal/serve"
-	"repro/internal/workloads"
 )
 
 func main() {
@@ -51,9 +51,6 @@ func main() {
 	jobs := flag.Int("j", 0, "parallel jobs (0 = one per core, 1 = serial)")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of text")
 	progress := flag.Bool("progress", true, "print live per-job progress to stderr")
-	benchName := flag.String("bench", "", "observed-run mode: run this one benchmark under ADORE ("+strings.Join(workloads.Names(), " ")+")")
-	traceOut := flag.String("trace", "", "observed-run mode: write a Perfetto-loadable Chrome trace to this file")
-	eventsOut := flag.String("events", "", "observed-run mode: write the event stream as JSONL to this file")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /status and /debug/pprof on this address while running (e.g. :8123)")
@@ -61,6 +58,14 @@ func main() {
 	fork := flag.Bool("fork", false, "run the policy-matrix sweep on the checkpoint/fork engine (DESIGN.md §16): one warmup probe per (workload, options) group, policy continuations resume from its snapshot")
 	forkJSON := flag.String("fork-json", "", "with -fork: write the fork-engine throughput summary as JSON to this file")
 	flag.Parse()
+	// -fork and -fork-json only shape the policy-matrix sweep; anywhere
+	// else they would be silently ignored and -fork-json write nothing.
+	if *forkJSON != "" && !*fork {
+		usageError("-fork-json requires -fork")
+	}
+	if *fork && *exp != "all" && *exp != "policymatrix" {
+		usageError("-fork applies only to -exp policymatrix (or all)")
+	}
 
 	// Host profiling of the simulator itself (DESIGN.md §12): profiles are
 	// written on the normal exit paths; a run that dies via cli.Fatal exits
@@ -82,11 +87,6 @@ func main() {
 	}
 
 	ctx := cli.Context()
-
-	if *benchName != "" || *traceOut != "" || *eventsOut != "" {
-		cli.Fatal(observedRun(ctx, *benchName, *scale, *traceOut, *eventsOut))
-		return
-	}
 
 	status := serve.NewStatusTracker()
 	var jobsDone atomic.Int64
@@ -222,6 +222,14 @@ func main() {
 		eng.Parallelism(), misses, hits, rmisses, rhits, time.Since(start).Seconds())
 }
 
+// usageError reports a bad flag combination the way the flag package
+// reports a bad flag: message, usage, exit status 2.
+func usageError(msg string) {
+	fmt.Fprintln(os.Stderr, "error:", msg)
+	flag.Usage()
+	os.Exit(2)
+}
+
 // renderer is any experiment result that can print itself as text.
 type renderer interface{ Render() string }
 
@@ -261,69 +269,4 @@ func writeForkJSON(path string, scale float64, s *harness.ForkStats) error {
 		return err
 	}
 	return f.Close()
-}
-
-// observedRun executes one benchmark under ADORE with the observability
-// layer enabled and exports the recorded stream.
-func observedRun(ctx context.Context, name string, scale float64, tracePath, eventsPath string) error {
-	if name == "" {
-		name = "mcf"
-	}
-	bench, err := adore.Benchmark(name, scale)
-	if err != nil {
-		return err
-	}
-	build, err := adore.Compile(bench.Kernel, adore.CompileOptions())
-	if err != nil {
-		return err
-	}
-	res, err := adore.RunContext(ctx, build, adore.WithObserve(adore.WithADORE(adore.RunOptions())))
-	if err != nil {
-		return err
-	}
-
-	fmt.Printf("%s: %d cycles, %d instructions (CPI %.3f)\n",
-		bench.Name, res.CPU.Cycles, res.CPU.Retired, res.CPU.CPI())
-	if s := res.CPIStack; s != nil {
-		t := float64(s.Total())
-		fmt.Printf("cpi stack: busy %.1f%%, load-stall %.1f%%, flush %.1f%%, fetch %.1f%%\n",
-			100*float64(s.Busy)/t, 100*float64(s.LoadStall)/t, 100*float64(s.Flush)/t, 100*float64(s.Fetch)/t)
-	}
-	if res.Obs != nil {
-		fmt.Printf("events: %d recorded, %d dropped\n", len(res.Obs.Events), res.Obs.Dropped)
-		if res.Obs.Dropped > 0 {
-			fmt.Fprintf(os.Stderr, "warning: %d observability events dropped (ring overwrites); the exported stream is incomplete\n", res.Obs.Dropped)
-		}
-	}
-	pf := res.Mem.Prefetch()
-	fmt.Printf("prefetch: %d issued, %d useful, %d late, %d evicted unused\n",
-		pf.Issued, pf.Useful, pf.Late, pf.EvictedUnused)
-
-	write := func(path string, render func(*os.File) error) error {
-		if path == "" {
-			return nil
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := render(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
-	if err := write(tracePath, func(f *os.File) error { return adore.WriteChromeTrace(f, res.Obs) }); err != nil {
-		return err
-	}
-	if tracePath != "" {
-		fmt.Printf("wrote %s (load in ui.perfetto.dev)\n", tracePath)
-	}
-	if err := write(eventsPath, func(f *os.File) error { return adore.WriteEventsJSONL(f, res.Obs) }); err != nil {
-		return err
-	}
-	if eventsPath != "" {
-		fmt.Printf("wrote %s\n", eventsPath)
-	}
-	return nil
 }

@@ -31,11 +31,7 @@ import (
 	"repro/cmd/internal/cli"
 	"repro/internal/analysis"
 	"repro/internal/compiler"
-	"repro/internal/core"
-	"repro/internal/cpu"
-	"repro/internal/isa"
-	"repro/internal/memsys"
-	"repro/internal/pmu"
+	"repro/internal/harness"
 	"repro/internal/program"
 	"repro/internal/verify"
 	"repro/internal/workloads"
@@ -51,7 +47,7 @@ func main() {
 	dynamic := flag.Bool("adore", false, "run each workload under ADORE and lint the trace pool too")
 	analyze := flag.Bool("analyze", false, "print per-loop CFG/liveness/classification reports and static findings")
 	werror := flag.Bool("werror", false, "treat advisory and analysis findings as errors")
-	traceFile := flag.String("trace", "", "validate a Chrome trace-event file (as written by adore-bench -trace) and exit")
+	traceFile := flag.String("trace", "", "validate a Chrome trace-event file (as written by adore-trace -trace) and exit")
 	flag.Parse()
 
 	if *traceFile != "" {
@@ -159,34 +155,20 @@ func main() {
 // pool, and the used portion of the pool segment (nil when nothing was
 // installed) for further analysis.
 func lintRun(build *compiler.BuildResult, advisory bool) (rejected, pool []verify.Finding, used *program.Segment, err error) {
-	img := build.Image
-	code := program.NewCodeSpace()
-	seg := &program.Segment{Name: img.Name, Base: img.Code.Base,
-		Bundles: append([]isa.Bundle{}, img.Code.Bundles...)}
-	if err := code.AddSegment(seg); err != nil {
-		return nil, nil, nil, err
-	}
-	mem := img.NewMemory()
-	hier := memsys.NewHierarchy(memsys.DefaultConfig())
-	ccfg := core.DefaultConfig()
-	ccfg.Verify = true
-	p := pmu.New(ccfg.Sampling)
-	m := cpu.New(cpu.DefaultConfig(), code, mem, hier, p)
-	m.SetPC(img.Entry)
-	ctrl, err := core.NewController(ccfg, code, p)
+	cfg := harness.DefaultRunConfig()
+	cfg.ADORE = true
+	cfg.Core.Verify = true
+	res, err := harness.RunContext(cli.Context(), build, cfg)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	ctrl.Attach(m)
-	if _, err := m.RunContext(cli.Context(), 2_000_000_000); err != nil {
-		return nil, nil, nil, err
-	}
-	for _, s := range code.Segments() {
+	ctrl := res.Controller
+	for _, s := range res.Code.Segments() {
 		if s.Name != "trace-pool" || ctrl.Pool().Used() == 0 {
 			continue
 		}
 		used = &program.Segment{Name: s.Name, Base: s.Base, Bundles: s.Bundles[:ctrl.Pool().Used()]}
-		pool = append(pool, verify.CheckSegment(used, verify.Options{Advisory: advisory, Code: code})...)
+		pool = append(pool, verify.CheckSegment(used, verify.Options{Advisory: advisory, Code: res.Code})...)
 	}
 	return ctrl.Findings(), pool, used, nil
 }

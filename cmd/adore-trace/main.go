@@ -5,6 +5,12 @@
 // Usage:
 //
 //	adore-trace -bench mcf [-scale 0.3] [-pool] [-trace out.json] [-events out.jsonl]
+//
+// -trace and -events turn on the observability layer for the run and
+// export the recorded event stream: -trace writes a Chrome trace-event
+// file loadable in Perfetto (ui.perfetto.dev), -events a JSONL stream.
+// An observed run also prints its CPI-stack shares and prefetch
+// usefulness. See DESIGN.md §10.
 package main
 
 import (
@@ -17,11 +23,8 @@ import (
 	"repro"
 	"repro/cmd/internal/cli"
 	"repro/internal/core"
-	"repro/internal/cpu"
-	"repro/internal/isa"
-	"repro/internal/memsys"
+	"repro/internal/harness"
 	"repro/internal/obs"
-	"repro/internal/pmu"
 	"repro/internal/program"
 	"repro/internal/workloads"
 )
@@ -35,37 +38,20 @@ func main() {
 	traceOut := flag.String("trace", "", "write a Perfetto-loadable Chrome trace to this file")
 	eventsOut := flag.String("events", "", "write the event stream as JSONL to this file")
 	flag.Parse()
-	observe := *traceOut != "" || *eventsOut != ""
 
 	bench, err := adore.Benchmark(*name, *scale)
 	fatal(err)
 	build, err := adore.Compile(bench.Kernel, adore.CompileOptions())
 	fatal(err)
-	img := build.Image
 
-	code := program.NewCodeSpace()
-	seg := &program.Segment{Name: img.Name, Base: img.Code.Base,
-		Bundles: append([]isa.Bundle{}, img.Code.Bundles...)}
-	fatal(code.AddSegment(seg))
-	mem := img.NewMemory() // an image without InitData gets an empty memory
-	hier := memsys.NewHierarchy(memsys.DefaultConfig())
-	ccfg := core.DefaultConfig()
-	ccfg.Observe = observe
-	ccfg.Policy = *policy
-	ccfg.Selector = *selector
-	mcfg := cpu.DefaultConfig()
-	mcfg.Accounting = observe
-	p := pmu.New(ccfg.Sampling)
-	m := cpu.New(mcfg, code, mem, hier, p)
-	m.SetPC(img.Entry)
-	m.SetImage(img)
-	ctrl, err := core.NewController(ccfg, code, p)
-	fatal(err)
-	ctrl.SetImage(img)
-
-	ctrl.OnOptimize = func(t *core.Trace, loads []core.DelinquentLoad, res core.OptimizeResult) {
+	cfg := harness.DefaultRunConfig()
+	cfg.ADORE = true
+	cfg.Observe = *traceOut != "" || *eventsOut != ""
+	cfg.Core.Policy = *policy
+	cfg.Core.Selector = *selector
+	cfg.OnOptimize = func(cycle uint64, t *core.Trace, loads []core.DelinquentLoad, res core.OptimizeResult) {
 		fmt.Printf("[%12d] optimize trace @%#x (loop=%v, %d bundles, %d insts)\n",
-			m.Now(), t.Start, t.IsLoop, len(t.Bundles), t.InstCount())
+			cycle, t.Start, t.IsLoop, len(t.Bundles), t.InstCount())
 		for _, dl := range loads {
 			fmt.Printf("  delinquent load pc=%#x: %d events, avg latency %.0f cycles\n",
 				dl.PC, dl.Count, dl.AvgLatency)
@@ -73,25 +59,23 @@ func main() {
 		fmt.Printf("  inserted: %d direct, %d indirect, %d pointer-chasing (failures %d, skipped %d)\n",
 			res.Direct, res.Indirect, res.Pointer, res.Failures, res.Skipped)
 	}
-	ctrl.Attach(m)
-	st, err := m.RunContext(cli.Context(), 5_000_000_000)
+	res, err := harness.RunContext(cli.Context(), build, cfg)
 	fatal(err)
+	ctrl, st := res.Controller, res.Core
 
-	fmt.Printf("\nrun: %d cycles, %d instructions (CPI %.3f)\n", st.Cycles, st.Retired, st.CPI())
-	fmt.Printf("ADORE: %+v\n", ctrl.Stats)
-	if d := ctrl.Stats.SamplesDropped; d > 0 {
+	fmt.Printf("\nrun: %d cycles, %d instructions (CPI %.3f)\n", res.CPU.Cycles, res.CPU.Retired, res.CPU.CPI())
+	fmt.Printf("ADORE: %+v\n", *st)
+	if d := st.SamplesDropped; d > 0 {
 		fmt.Printf("samples dropped: %d\n", d)
 		fmt.Fprintf(os.Stderr, "warning: %d PMU samples dropped (unhandled SSB overflows); the profile is incomplete\n", d)
 	}
 	fmt.Printf("prefetches inserted: %d (%d direct, %d indirect, %d pointer-chasing)\n",
-		ctrl.Stats.TotalPrefetches(), ctrl.Stats.DirectPrefetches,
-		ctrl.Stats.IndirectPrefetches, ctrl.Stats.PointerPrefetches)
-	fmt.Printf("verifier: %d traces checked, %d rejected\n",
-		ctrl.Stats.TracesVerified, ctrl.Stats.VerifyRejects)
+		st.TotalPrefetches(), st.DirectPrefetches, st.IndirectPrefetches, st.PointerPrefetches)
+	fmt.Printf("verifier: %d traces checked, %d rejected\n", st.TracesVerified, st.VerifyRejects)
 	fmt.Printf("policy: %s\n", ctrl.PolicyKey())
 	if use := ctrl.PolicyUse(); use != nil {
 		fmt.Printf("  selector decisions: %d (%d fell back to nextline)\n",
-			ctrl.Stats.PolicySelections, ctrl.Stats.PolicySwitches)
+			st.PolicySelections, st.PolicySwitches)
 		for _, pol := range core.PrefetchPolicyNames() {
 			if n := use[pol]; n > 0 {
 				fmt.Printf("    %-9s %d traces\n", pol, n)
@@ -102,7 +86,7 @@ func main() {
 		fmt.Printf("patch @%#x -> trace %#x..%#x (active %v)\n", rec.Entry, rec.TraceAddr, rec.TraceEnd, rec.Active)
 	}
 	if *dumpPool {
-		for _, s := range code.Segments() {
+		for _, s := range res.Code.Segments() {
 			if s.Name != "trace-pool" {
 				continue
 			}
@@ -111,8 +95,16 @@ func main() {
 			fmt.Printf("\ntrace pool (%d bundles):\n%s", n, program.Listing(sub))
 		}
 	}
-	if observe {
-		cap := ctrl.Capture()
+	if cfg.Observe {
+		if s := res.CPIStack; s != nil {
+			t := float64(s.Total())
+			fmt.Printf("cpi stack: busy %.1f%%, load-stall %.1f%%, flush %.1f%%, fetch %.1f%%\n",
+				100*float64(s.Busy)/t, 100*float64(s.LoadStall)/t, 100*float64(s.Flush)/t, 100*float64(s.Fetch)/t)
+		}
+		pf := res.Mem.Prefetch()
+		fmt.Printf("prefetch: %d issued, %d useful, %d late, %d evicted unused\n",
+			pf.Issued, pf.Useful, pf.Late, pf.EvictedUnused)
+		cap := res.Obs
 		fmt.Printf("events: %d recorded, %d dropped\n", len(cap.Events), cap.Dropped)
 		if cap.Dropped > 0 {
 			fmt.Fprintf(os.Stderr, "warning: %d observability events dropped (ring overwrites); the exported stream is incomplete\n", cap.Dropped)

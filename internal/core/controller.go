@@ -97,10 +97,10 @@ func (s Stats) TotalPrefetches() int {
 // and is not charged to the monitored program; only patch installation
 // charges PatchCharge cycles.
 //
-// The three decision points — phase detection, trace selection, prefetch
-// generation — are driven through the policy interfaces (policy.go); the
-// defaults are the paper's own components, so a default-config controller
-// behaves bit-identically to the pre-policy pipeline.
+// Prefetch generation is driven through the PrefetchPolicy interface
+// (policy.go); the default is the paper's own optimizer, so a
+// default-config controller behaves bit-identically to the pre-policy
+// pipeline.
 type Controller struct {
 	cfg  Config
 	code *program.CodeSpace
@@ -111,12 +111,10 @@ type Controller struct {
 	pool *TracePool
 	opt  *Optimizer
 
-	// Policy layer: the phase/trace/prefetch decisions, plus the optional
-	// runtime selector that re-picks pf per stable phase (Config.Selector).
-	phase PhasePolicy
-	trace TracePolicy
-	pf    PrefetchPolicy
-	sel   *Selector
+	// Policy layer: the prefetch decision, plus the optional runtime
+	// selector that re-picks pf per stable phase (Config.Selector).
+	pf  PrefetchPolicy
+	sel *Selector
 
 	newWindows []WindowMetrics
 	patches    []*PatchRecord
@@ -141,8 +139,9 @@ type Controller struct {
 	OnWindow func(WindowMetrics)
 
 	// OnOptimize, when set, observes every trace optimization attempt
-	// (tooling and tests; not used by the pipeline itself).
-	OnOptimize func(t *Trace, loads []DelinquentLoad, res OptimizeResult)
+	// (tooling and tests; not used by the pipeline itself). cycle is the
+	// simulated clock at the decision (PrefetchContext.Cycle).
+	OnOptimize func(cycle uint64, t *Trace, loads []DelinquentLoad, res OptimizeResult)
 
 	// OnPolicyPoint, when set, fires immediately before the controller's
 	// first policy-dependent act of a stable phase — the moment the
@@ -179,8 +178,6 @@ func NewController(cfg Config, code *program.CodeSpace, p *pmu.PMU) (*Controller
 		pool: pool,
 		opt:  NewOptimizer(cfg),
 	}
-	c.phase = c.det
-	c.trace = &paperTracePolicy{cfg: cfg, code: code}
 	c.pf = pf
 	if cfg.Selector {
 		c.sel = NewSelector(cfg)
@@ -230,7 +227,7 @@ func (c *Controller) onOverflow(samples []pmu.Sample) {
 func (c *Controller) poll(now uint64) uint64 {
 	var charge uint64
 	for _, w := range c.newWindows {
-		ev, info := c.phase.Observe(w)
+		ev, info := c.det.Observe(w)
 		switch ev {
 		case PhaseStable:
 			pc := uint64(info.PCCenter)
@@ -305,7 +302,7 @@ func (c *Controller) onStablePhase(now uint64, info *PhaseInfo) uint64 {
 	if len(info.Windows) > 0 {
 		recent = c.ueb.SamplesSince(info.Windows[0].Seq)
 	}
-	traces := c.trace.Select(info, samples)
+	traces := NewTraceSelector(c.cfg, c.code).Select(samples)
 	for _, t := range traces {
 		var isLoop uint64
 		if t.IsLoop {
@@ -378,7 +375,7 @@ func (c *Controller) onStablePhase(now uint64, info *PhaseInfo) uint64 {
 			}
 		}
 		if c.OnOptimize != nil {
-			c.OnOptimize(t, loads, res)
+			c.OnOptimize(ctx.Cycle, t, loads, res)
 		}
 		c.Stats.DirectPrefetches += res.Direct
 		c.Stats.IndirectPrefetches += res.Indirect

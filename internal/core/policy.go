@@ -5,42 +5,20 @@ import (
 	"sort"
 
 	"repro/internal/memsys"
-	"repro/internal/pmu"
-	"repro/internal/program"
 )
 
-// This file factors the controller's three decision points behind narrow
-// interfaces, so the paper's pipeline becomes one policy among several
-// rather than the only possible behaviour. The defaults are the paper's
-// own components, extracted verbatim: a run with Config.Policy unset is
-// bit-identical to the pre-refactor controller.
-//
-//	PhasePolicy    — profile windows → stable-phase decisions (§2.3)
-//	TracePolicy    — stable phase + UEB samples → candidate traces (§2.4)
-//	PrefetchPolicy — loop trace + delinquent loads → injected code (§3)
+// This file puts the controller's prefetch decision (§3: loop trace +
+// delinquent loads → injected code) behind the PrefetchPolicy interface,
+// so the paper's optimizer becomes one policy among several rather than
+// the only possible behaviour. Phase detection (§2.3) and trace selection
+// (§2.4) have one implementation each and are called directly. The
+// default policy is the paper's own optimizer, extracted verbatim: a run
+// with Config.Policy unset is bit-identical to the pre-refactor
+// controller.
 //
 // Prefetch policies are named and registered (RegisterPrefetchPolicy) so
 // the config layer, CLIs and the fuzzer can select them by string, and the
 // runtime Selector (selector.go) can enumerate them.
-
-// PhasePolicy turns the stream of profile windows into phase events. The
-// paper's implementation is the coarse-grain PhaseDetector (phase.go).
-type PhasePolicy interface {
-	// PolicyName identifies the implementation in configs and summaries.
-	PolicyName() string
-	// Observe consumes one profile window and reports whether a stable
-	// phase was established or a previously stable phase ended.
-	Observe(w WindowMetrics) (PhaseEvent, *PhaseInfo)
-}
-
-// TracePolicy selects candidate traces for a newly stable phase. The
-// paper's implementation grows traces from BTB path profiles
-// (traceselect.go); info carries the phase the selection serves, for
-// policies that want to focus on the phase's PC-center.
-type TracePolicy interface {
-	PolicyName() string
-	Select(info *PhaseInfo, samples []pmu.Sample) []*Trace
-}
 
 // PrefetchContext carries the runtime signals a prefetch policy may
 // consult, gathered read-only at decision time. Only PhaseCPI influences
@@ -69,26 +47,9 @@ type PrefetchPolicy interface {
 	Optimize(t *Trace, loads []DelinquentLoad, ctx PrefetchContext) OptimizeResult
 }
 
-// PolicyPaper is the name of the default policy at each decision point:
-// the paper's pipeline, unchanged.
+// PolicyPaper is the name of the default prefetch policy: the paper's
+// pipeline, unchanged.
 const PolicyPaper = "paper"
-
-// PolicyName makes the paper's phase detector the default PhasePolicy.
-func (d *PhaseDetector) PolicyName() string { return PolicyPaper }
-
-// paperTracePolicy reproduces the controller's original call site: a fresh
-// TraceSelector per stable phase, fed the whole UEB.
-type paperTracePolicy struct {
-	cfg  Config
-	code *program.CodeSpace
-}
-
-func (p *paperTracePolicy) PolicyName() string { return PolicyPaper }
-
-func (p *paperTracePolicy) Select(info *PhaseInfo, samples []pmu.Sample) []*Trace {
-	sel := NewTraceSelector(p.cfg, p.code)
-	return sel.Select(samples)
-}
 
 // paperPrefetch adapts the §3 Optimizer: pattern classification by
 // dependence slicing, distance from avg latency / body cycles.

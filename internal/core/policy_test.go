@@ -271,15 +271,11 @@ func TestSelectorDecisionLadder(t *testing.T) {
 	}
 }
 
-// TestPolicyAdapterNames pins the identity the paper adapters report and
+// TestPolicyAdapterNames pins the identity the paper adapter reports and
 // the name→index encoding obs events carry.
 func TestPolicyAdapterNames(t *testing.T) {
-	cfg := DefaultConfig()
-	if n := NewPhaseDetector(cfg).PolicyName(); n != PolicyPaper {
-		t.Errorf("phase detector reports policy %q", n)
-	}
-	if n := (&paperTracePolicy{}).PolicyName(); n != PolicyPaper {
-		t.Errorf("paper trace policy reports %q", n)
+	if n := (&paperPrefetch{}).PolicyName(); n != PolicyPaper {
+		t.Errorf("paper prefetch policy reports %q", n)
 	}
 	for i, name := range PrefetchPolicyNames() {
 		if idx := policyIndex(name); idx != uint64(i) {

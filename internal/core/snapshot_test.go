@@ -40,10 +40,8 @@ func TestControllerSnapshotFieldCoverage(t *testing.T) {
 		"pool": "cursor captured; capacity validated by Restore; contents live in the code space",
 		"sel":  "usage counts captured; policy table is structural",
 
-		"opt":   "stateless: pure function of cfg",
-		"phase": "stateless policy object",
-		"trace": "stateless policy object",
-		"pf":    "policy object; continuations deliberately swap it (fork contract)",
+		"opt": "stateless: pure function of cfg",
+		"pf":  "policy object; continuations deliberately swap it (fork contract)",
 
 		"newWindows": "captured",
 		"patches":    "captured",

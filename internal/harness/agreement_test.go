@@ -117,7 +117,7 @@ func TestStaticSlicerAgreement(t *testing.T) {
 			cfg := DefaultRunConfig()
 			cfg.ADORE = true
 			cfg.Core = fastCore()
-			cfg.OnOptimize = func(tr *core.Trace, loads []core.DelinquentLoad, res core.OptimizeResult) {
+			cfg.OnOptimize = func(_ uint64, tr *core.Trace, loads []core.DelinquentLoad, res core.OptimizeResult) {
 				events++
 				if !tr.IsLoop {
 					return

@@ -205,50 +205,69 @@ func (e *Engine) RunJobs(ctx context.Context, sweep string, jobs []Job) ([]*RunR
 	out := make([]*RunResult, len(jobs))
 	sweepStart := time.Now()
 	err := e.Map(ctx, len(jobs), func(ctx context.Context, i int) error {
-		j := &jobs[i]
-		jobStart := time.Now()
-		e.metrics.queueWait.Observe(uint64(jobStart.Sub(sweepStart)))
-		e.metrics.jobsStarted.Inc()
-		e.metrics.inflight.Inc()
-		e.report(Progress{Sweep: sweep, Job: j.Name, Index: i, Total: len(jobs)})
-		if j.Config.Metrics == nil {
-			// A metered engine meters its jobs' controllers too. Metrics is
-			// fingerprint-exempt, so this never splits result-cache entries.
-			j.Config.Metrics = e.cfg.Metrics
-		}
-		build, err := e.cache.Build(j.Compile)
-		if err == nil {
-			if j.Config.OnOptimize == nil {
-				// Hermetic, hook-free job: identical (build, config) pairs
-				// share one simulation through the result cache. The key
-				// includes the run fingerprint, so two configs differing in
-				// anything observable — notably the prefetch policy — can
-				// never alias.
-				out[i], err = e.results.Run(ctx, j.Compile.Key(), build, j.Config)
-			} else {
-				out[i], err = RunContext(ctx, build, j.Config)
-			}
-		}
-		elapsed := uint64(time.Since(jobStart))
-		e.metrics.inflight.Dec()
-		e.metrics.jobLatency.Observe(elapsed)
-		e.metrics.workerBusy.Add(elapsed)
-		if err != nil {
-			e.metrics.jobsFailed.Inc()
-		} else {
-			e.metrics.jobsDone.Inc()
-			e.foldResult(out[i])
-		}
-		e.report(Progress{Sweep: sweep, Job: j.Name, Index: i, Total: len(jobs), Done: true, Err: err})
-		if err != nil {
-			return fmt.Errorf("%s: %w", j.Name, err)
-		}
-		return nil
+		var err error
+		out[i], err = e.runJob(ctx, sweep, sweepStart, jobs, i, nil)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// runJob runs jobs[i] with the per-job bookkeeping both schedulers share
+// (RunJobs and RunJobsForked): queue-wait, started/in-flight, progress
+// reports, Metrics defaulting, the build, latency/busy time, the result
+// fold and the done report. sim, when non-nil, simulates the job in place
+// of the default dispatch — the fork engine's probes and continuations.
+// The default sends a hook-free job through the result cache and a hooked
+// one straight to RunContext.
+func (e *Engine) runJob(ctx context.Context, sweep string, sweepStart time.Time, jobs []Job, i int,
+	sim func(context.Context, *compiler.BuildResult, RunConfig) (*RunResult, error)) (*RunResult, error) {
+	j := &jobs[i]
+	jobStart := time.Now()
+	e.metrics.queueWait.Observe(uint64(jobStart.Sub(sweepStart)))
+	e.metrics.jobsStarted.Inc()
+	e.metrics.inflight.Inc()
+	e.report(Progress{Sweep: sweep, Job: j.Name, Index: i, Total: len(jobs)})
+	cfg := j.Config // a copy: the caller's jobs stay untouched
+	if cfg.Metrics == nil {
+		// A metered engine meters its jobs' controllers too. Metrics is
+		// fingerprint-exempt, so this never splits result-cache entries.
+		cfg.Metrics = e.cfg.Metrics
+	}
+	var res *RunResult
+	build, err := e.cache.Build(j.Compile)
+	if err == nil {
+		switch {
+		case sim != nil:
+			res, err = sim(ctx, build, cfg)
+		case cfg.OnOptimize == nil:
+			// Hermetic, hook-free job: identical (build, config) pairs
+			// share one simulation through the result cache. The key
+			// includes the run fingerprint, so two configs differing in
+			// anything observable — notably the prefetch policy — can
+			// never alias.
+			res, err = e.results.Run(ctx, j.Compile.Key(), build, cfg)
+		default:
+			res, err = RunContext(ctx, build, cfg)
+		}
+	}
+	elapsed := uint64(time.Since(jobStart))
+	e.metrics.inflight.Dec()
+	e.metrics.jobLatency.Observe(elapsed)
+	e.metrics.workerBusy.Add(elapsed)
+	if err != nil {
+		e.metrics.jobsFailed.Inc()
+	} else {
+		e.metrics.jobsDone.Inc()
+		e.foldResult(res)
+	}
+	e.report(Progress{Sweep: sweep, Job: j.Name, Index: i, Total: len(jobs), Done: true, Err: err})
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", j.Name, err)
+	}
+	return res, nil
 }
 
 // RunJob schedules one job — the unit the serve front door submits per

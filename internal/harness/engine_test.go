@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/compiler"
+	"repro/internal/core"
 	"repro/internal/workloads"
 )
 
@@ -116,35 +117,93 @@ func TestEngineSlotsBoundConcurrentSweeps(t *testing.T) {
 	}
 }
 
+// scheduler is one of the engine's two job schedulers under one
+// signature, so the per-job bookkeeping tests cover both; RunJobs
+// reports no fork statistics.
+type scheduler struct {
+	name string
+	run  func(e *Engine, ctx context.Context, sweep string, jobs []Job) ([]*RunResult, *ForkStats, error)
+}
+
+var (
+	straightScheduler = scheduler{"RunJobs", func(e *Engine, ctx context.Context, sweep string, jobs []Job) ([]*RunResult, *ForkStats, error) {
+		out, err := e.RunJobs(ctx, sweep, jobs)
+		return out, nil, err
+	}}
+	forkScheduler = scheduler{"RunJobsForked", (*Engine).RunJobsForked}
+)
+
+// forkGroupJobs returns two ADORE jobs of one compile that differ only in
+// prefetch policy — a real fork group: under RunJobsForked the first runs
+// as the probe and the second resumes from its snapshot.
+func forkGroupJobs(t *testing.T, name string) []Job {
+	t.Helper()
+	g := GoldenExpConfig()
+	b, err := workloads.ByName(name, g.Scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := benchSpec(b, g.Scale, compiler.O2)
+	return []Job{
+		{Name: name + "/paper", Compile: sp, Config: forkRunConfig(g.Core, core.PolicyPaper, false)},
+		{Name: name + "/nextline", Compile: sp, Config: forkRunConfig(g.Core, core.PolicyNextLine, false)},
+	}
+}
+
+// TestEngineProgressEvents checks both schedulers report one start and one
+// done event per job, each labeled with the sweep, its index and the
+// sweep's size — the fork-group case through the probe and continuation
+// paths too.
 func TestEngineProgressEvents(t *testing.T) {
-	var mu sync.Mutex
-	var starts, dones int
-	e := NewEngine(EngineConfig{Parallelism: 2, OnProgress: func(p Progress) {
-		mu.Lock()
-		defer mu.Unlock()
-		if p.Done {
-			dones++
-		} else {
-			starts++
-		}
-		if p.Total != 2 || p.Sweep != "test" {
-			t.Errorf("bad progress event %+v", p)
-		}
-	}})
 	b, err := workloads.ByName("mcf", 0.02)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sp := benchSpec(b, 0.02, compiler.O2)
-	jobs := []Job{
+	plain := []Job{
 		{Name: "mcf/a", Compile: sp, Config: DefaultRunConfig()},
 		{Name: "mcf/b", Compile: sp, Config: DefaultRunConfig()},
 	}
-	if _, err := e.RunJobs(context.Background(), "test", jobs); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name       string
+		sched      scheduler
+		jobs       []Job
+		wantGroups int
+	}{
+		{"RunJobs", straightScheduler, plain, 0},
+		{"RunJobsForked", forkScheduler, plain, 0},
+		{"RunJobsForked/fork-group", forkScheduler, forkGroupJobs(t, "mcf"), 1},
 	}
-	if starts != 2 || dones != 2 {
-		t.Fatalf("starts=%d dones=%d, want 2/2", starts, dones)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var mu sync.Mutex
+			starts := map[int]int{}
+			dones := map[int]int{}
+			e := NewEngine(EngineConfig{Parallelism: 2, OnProgress: func(p Progress) {
+				mu.Lock()
+				defer mu.Unlock()
+				if p.Done {
+					dones[p.Index]++
+				} else {
+					starts[p.Index]++
+				}
+				if p.Total != len(tc.jobs) || p.Sweep != "test" || p.Job != tc.jobs[p.Index].Name || p.Err != nil {
+					t.Errorf("bad progress event %+v", p)
+				}
+			}})
+			_, stats, err := tc.sched.run(e, context.Background(), "test", tc.jobs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range tc.jobs {
+				if starts[i] != 1 || dones[i] != 1 {
+					t.Errorf("job %d: starts=%d dones=%d, want 1/1", i, starts[i], dones[i])
+				}
+			}
+			if stats != nil && (stats.Groups != tc.wantGroups || stats.ForkedRuns != tc.wantGroups) {
+				t.Errorf("fork stats %+v, want %d group(s) and forked run(s)", stats, tc.wantGroups)
+			}
+		})
 	}
 }
 

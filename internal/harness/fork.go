@@ -3,9 +3,9 @@ package harness
 import (
 	"context"
 	"errors"
-	"fmt"
 	"time"
 
+	"repro/internal/compiler"
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/memsys"
@@ -261,45 +261,21 @@ func (e *Engine) RunJobsForked(ctx context.Context, sweep string, jobs []Job) ([
 	out := make([]*RunResult, len(jobs))
 	sweepStart := time.Now()
 	runOne := func(ctx context.Context, i int) error {
-		j := &jobs[i]
-		jobStart := time.Now()
-		e.metrics.queueWait.Observe(uint64(jobStart.Sub(sweepStart)))
-		e.metrics.jobsStarted.Inc()
-		e.metrics.inflight.Inc()
-		e.report(Progress{Sweep: sweep, Job: j.Name, Index: i, Total: len(jobs)})
-		if j.Config.Metrics == nil {
-			j.Config.Metrics = e.cfg.Metrics
-		}
-		build, err := e.cache.Build(j.Compile)
-		if err == nil {
-			switch {
-			case probeOf[i] != nil:
-				var snap *ForkSnapshot
-				out[i], snap, err = RunForkProbeImage(ctx, build.Image, j.Config, ForkDivergence)
-				probeOf[i].snap = snap // nil when no boundary was eligible
-			case contOf[i] != nil && contOf[i].snap != nil:
-				out[i], err = RunForkedImage(ctx, build.Image, j.Config, contOf[i].snap)
-			case j.Config.OnOptimize == nil:
-				out[i], err = e.results.Run(ctx, j.Compile.Key(), build, j.Config)
-			default:
-				out[i], err = RunContext(ctx, build, j.Config)
+		var sim func(context.Context, *compiler.BuildResult, RunConfig) (*RunResult, error)
+		if g := probeOf[i]; g != nil {
+			sim = func(ctx context.Context, build *compiler.BuildResult, cfg RunConfig) (*RunResult, error) {
+				res, snap, err := RunForkProbeImage(ctx, build.Image, cfg, ForkDivergence)
+				g.snap = snap // nil when no boundary was eligible
+				return res, err
+			}
+		} else if g := contOf[i]; g != nil && g.snap != nil {
+			sim = func(ctx context.Context, build *compiler.BuildResult, cfg RunConfig) (*RunResult, error) {
+				return RunForkedImage(ctx, build.Image, cfg, g.snap)
 			}
 		}
-		elapsed := uint64(time.Since(jobStart))
-		e.metrics.inflight.Dec()
-		e.metrics.jobLatency.Observe(elapsed)
-		e.metrics.workerBusy.Add(elapsed)
-		if err != nil {
-			e.metrics.jobsFailed.Inc()
-		} else {
-			e.metrics.jobsDone.Inc()
-			e.foldResult(out[i])
-		}
-		e.report(Progress{Sweep: sweep, Job: j.Name, Index: i, Total: len(jobs), Done: true, Err: err})
-		if err != nil {
-			return fmt.Errorf("%s: %w", j.Name, err)
-		}
-		return nil
+		var err error
+		out[i], err = e.runJob(ctx, sweep, sweepStart, jobs, i, sim)
+		return err
 	}
 
 	// Phase A: probes plus every un-grouped job. Phase B: continuations,

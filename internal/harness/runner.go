@@ -41,10 +41,11 @@ type RunConfig struct {
 	CaptureDear bool
 
 	// OnOptimize, when set with ADORE, observes every trace
-	// optimization attempt (tooling/debugging hook). Excluded from the
-	// run fingerprint (a hook is not configuration); jobs carrying one
-	// bypass the engine's result cache.
-	OnOptimize func(*core.Trace, []core.DelinquentLoad, core.OptimizeResult) `json:"-"`
+	// optimization attempt at the simulated cycle it happens
+	// (core.Controller.OnOptimize; a tooling/debugging hook). Excluded
+	// from the run fingerprint (a hook is not configuration); jobs
+	// carrying one bypass the engine's result cache.
+	OnOptimize func(cycle uint64, t *core.Trace, loads []core.DelinquentLoad, res core.OptimizeResult) `json:"-"`
 
 	// Observe turns on the observability layer for this run: the CPU's
 	// CPI-stack accounting (cpu.Config.Accounting), the controller's event

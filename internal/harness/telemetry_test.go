@@ -75,89 +75,135 @@ func TestProfiledRunNonPerturbing(t *testing.T) {
 	}
 }
 
-// TestEngineMetricsFold runs a small sweep on a metered engine and checks
-// the host-side and folded simulated aggregates: three jobs where two are
-// identical (one result-cache hit), so adore_engine_* counts host work
-// while adore_sim_* counts work served (the cached result folds twice).
+// TestEngineMetricsFold runs small sweeps on a metered engine, under both
+// schedulers, and checks the host-side and folded simulated aggregates:
+// two of the jobs are identical (one result-cache hit), so adore_engine_*
+// counts host work while adore_sim_* counts work served (the cached
+// result folds twice). The fork-group case adds a probe and a
+// continuation, which bypass the result cache.
 func TestEngineMetricsFold(t *testing.T) {
-	r := metrics.NewRegistry()
-	e := NewEngine(EngineConfig{Parallelism: 2, Metrics: r})
-
 	base := DefaultRunConfig()
 	adore := DefaultRunConfig()
 	adore.ADORE = true
 	spec := telemetryCompileSpec(t, "art", 0.05)
-
-	jobs := []Job{
+	plain := []Job{
 		{Name: "art/base", Compile: spec, Config: base},
 		{Name: "art/base-again", Compile: spec, Config: base},
 		{Name: "art/adore", Compile: spec, Config: adore},
 	}
-	out, err := e.RunJobs(context.Background(), "telemetry-test", jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	group := forkGroupJobs(t, "art")
+	gspec := group[0].Compile
+	forked := append([]Job{
+		{Name: "art/base", Compile: gspec, Config: base},
+		{Name: "art/base-again", Compile: gspec, Config: base},
+	}, group...)
 
-	counter := func(name string) uint64 {
-		t.Helper()
-		c := r.Counter(name, "")
-		if c == nil {
-			t.Fatalf("counter %s not registered", name)
-		}
-		return c.Value()
+	cases := []struct {
+		name  string
+		sched scheduler
+		jobs  []Job
+		// Result-cache misses: simulations the cache ran. Fork probes and
+		// continuations run outside it.
+		resultMisses uint64
+		groups       int
+	}{
+		{"RunJobs", straightScheduler, plain, 2, 0},
+		{"RunJobsForked", forkScheduler, plain, 2, 0},
+		{"RunJobsForked/fork-group", forkScheduler, forked, 1, 1},
 	}
-	if got := counter("adore_engine_jobs_started_total"); got != 3 {
-		t.Errorf("jobs started = %d, want 3", got)
-	}
-	if got := counter("adore_engine_jobs_completed_total"); got != 3 {
-		t.Errorf("jobs completed = %d, want 3", got)
-	}
-	if got := counter("adore_engine_jobs_failed_total"); got != 0 {
-		t.Errorf("jobs failed = %d, want 0", got)
-	}
-	// One compile serves all three jobs; one simulation serves both base jobs.
-	if hits, misses := counter("adore_engine_build_cache_hits_total"),
-		counter("adore_engine_build_cache_misses_total"); misses != 1 || hits != 2 {
-		t.Errorf("build cache hits/misses = %d/%d, want 2/1", hits, misses)
-	}
-	if hits, misses := counter("adore_engine_result_cache_hits_total"),
-		counter("adore_engine_result_cache_misses_total"); misses != 2 || hits != 1 {
-		t.Errorf("result cache hits/misses = %d/%d, want 1/2", hits, misses)
-	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := metrics.NewRegistry()
+			e := NewEngine(EngineConfig{Parallelism: 2, Metrics: r})
+			out, stats, err := tc.sched.run(e, context.Background(), "telemetry-test", tc.jobs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats != nil && stats.Groups != tc.groups {
+				t.Fatalf("fork groups = %d, want %d (stats %+v)", stats.Groups, tc.groups, stats)
+			}
 
-	// Folded sim totals cover every finished job, cache hits included.
-	var wantCycles uint64
-	for _, res := range out {
-		wantCycles += res.CPU.Cycles
-	}
-	if got := counter("adore_sim_cycles_total"); got != wantCycles {
-		t.Errorf("adore_sim_cycles_total = %d, want %d (sum over served jobs)", got, wantCycles)
-	}
+			counter := func(name string) uint64 {
+				t.Helper()
+				c := r.Counter(name, "")
+				if c == nil {
+					t.Fatalf("counter %s not registered", name)
+				}
+				return c.Value()
+			}
+			n := uint64(len(tc.jobs))
+			if got := counter("adore_engine_jobs_started_total"); got != n {
+				t.Errorf("jobs started = %d, want %d", got, n)
+			}
+			if got := counter("adore_engine_jobs_completed_total"); got != n {
+				t.Errorf("jobs completed = %d, want %d", got, n)
+			}
+			if got := counter("adore_engine_jobs_failed_total"); got != 0 {
+				t.Errorf("jobs failed = %d, want 0", got)
+			}
+			// One compile serves every job; one simulation serves both base jobs.
+			if hits, misses := counter("adore_engine_build_cache_hits_total"),
+				counter("adore_engine_build_cache_misses_total"); misses != 1 || hits != n-1 {
+				t.Errorf("build cache hits/misses = %d/%d, want %d/1", hits, misses, n-1)
+			}
+			if hits, misses := counter("adore_engine_result_cache_hits_total"),
+				counter("adore_engine_result_cache_misses_total"); misses != tc.resultMisses || hits != 1 {
+				t.Errorf("result cache hits/misses = %d/%d, want 1/%d", hits, misses, tc.resultMisses)
+			}
+			if got := r.Histogram("adore_engine_queue_wait_ns", "").Count(); got != n {
+				t.Errorf("queue-wait observations = %d, want %d", got, n)
+			}
 
-	// Live controller counters agree with the ADORE run's Stats: only one
-	// job actually simulated with a controller attached.
-	adoreRes := out[2]
-	if adoreRes.Core == nil {
-		t.Fatal("ADORE job has no core stats")
-	}
-	if got, want := counter("adore_core_windows_observed_total"), adoreRes.Core.WindowsObserved; got != uint64(want) {
-		t.Errorf("adore_core_windows_observed_total = %d, want %d", got, want)
-	}
-	if got, want := counter("adore_core_patches_installed_total"), adoreRes.Core.TracesPatched; got != uint64(want) {
-		t.Errorf("adore_core_patches_installed_total = %d, want %d", got, want)
-	}
+			// Folded sim totals cover every finished job, cache hits included.
+			var wantCycles uint64
+			for _, res := range out {
+				wantCycles += res.CPU.Cycles
+			}
+			if got := counter("adore_sim_cycles_total"); got != wantCycles {
+				t.Errorf("adore_sim_cycles_total = %d, want %d (sum over served jobs)", got, wantCycles)
+			}
 
-	// No loss signals on these tiny runs.
-	if obsDropped, samples := e.Drops(); obsDropped != 0 || samples != 0 {
-		t.Errorf("Drops() = %d/%d, want 0/0", obsDropped, samples)
-	}
-	// And the registry renders as valid Prometheus text.
-	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "adore_engine_job_latency_ns_bucket") {
-		t.Error("exposition missing job-latency histogram buckets")
+			// Live controller counters agree with the ADORE runs' Stats.
+			// No patch precedes a run's first policy decision, so a
+			// continuation's restored prefix holds none and the patch
+			// counter is an exact sum. Windows are counted live, so a
+			// continuation adds only those past its snapshot.
+			var patches, windows, first int
+			for i, res := range out[2:] {
+				if res.Core == nil {
+					t.Fatalf("ADORE job %d has no core stats", i+2)
+				}
+				patches += res.Core.TracesPatched
+				windows += res.Core.WindowsObserved
+				if i == 0 {
+					first = res.Core.WindowsObserved
+				}
+			}
+			if got := counter("adore_core_patches_installed_total"); got != uint64(patches) {
+				t.Errorf("adore_core_patches_installed_total = %d, want %d", got, patches)
+			}
+			got := counter("adore_core_windows_observed_total")
+			if tc.groups == 0 && got != uint64(windows) {
+				t.Errorf("adore_core_windows_observed_total = %d, want %d", got, windows)
+			}
+			if tc.groups > 0 && (got <= uint64(first) || got >= uint64(windows)) {
+				t.Errorf("adore_core_windows_observed_total = %d, want between the probe's %d and the straight total %d",
+					got, first, windows)
+			}
+
+			// No loss signals on these tiny runs.
+			if obsDropped, samples := e.Drops(); obsDropped != 0 || samples != 0 {
+				t.Errorf("Drops() = %d/%d, want 0/0", obsDropped, samples)
+			}
+			// And the registry renders as valid Prometheus text.
+			var sb strings.Builder
+			if err := r.WritePrometheus(&sb); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(sb.String(), "adore_engine_job_latency_ns_bucket") {
+				t.Error("exposition missing job-latency histogram buckets")
+			}
+		})
 	}
 }
 

@@ -359,7 +359,7 @@ func TestFixturePerPointLiveClobber(t *testing.T) {
 			Bundles: []isa.Bundle{
 				{Tmpl: isa.TmplMMI, Slots: [3]isa.Inst{
 					{Op: isa.OpAddI, R1: 27, Imm: 0, R3: 14}, // r27 = r14 (no-reserve build)
-					isa.Nop, // free M slot between def and use
+					isa.Nop,                                  // free M slot between def and use
 					{Op: isa.OpAddI, R1: 10, Imm: -1, R3: 10},
 				}},
 				{Tmpl: isa.TmplMMI, Slots: [3]isa.Inst{
