@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	adore-profile -bench gcc [-scale 1.0] [-cover 0.98]
+//	adore-profile -bench gcc [-scale 1.0]
 //	adore-profile -bench mcf -timeline
 //	adore-profile -bench mcf -annotate [-adore] [-sample-every 4093]
 //	adore-profile -bench mcf -profile sim.pb.gz   # then: go tool pprof -top sim.pb.gz

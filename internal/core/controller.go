@@ -188,7 +188,7 @@ func NewController(cfg Config, code *program.CodeSpace, p *pmu.PMU) (*Controller
 	}
 	for k, m := range kindMetrics {
 		if m.name != "" {
-			c.counters[k] = cfg.Metrics.Counter(m.name, m.help)
+			c.counters[k] = cfg.Metrics.Counter(m.name, m.help+execSide)
 		}
 	}
 	return c, nil

@@ -15,8 +15,10 @@ import (
 
 // kindMetrics names the live counter each counted event kind feeds. The
 // counters aggregate across every run wired to the same registry (per-run
-// totals live in Stats); result-cache hits run no controller and add
-// nothing.
+// totals live in Stats) and are execution-side: result-cache hits run no
+// controller and add nothing, and a fork continuation counts only what it
+// executes, not the prefix restored from its probe's snapshot. Every help
+// string ends with execSide to say so.
 var kindMetrics = [...]struct{ name, help string }{
 	obs.KindWindowObserved: {"adore_core_windows_observed_total", "profile windows copied from the SSB"},
 	obs.KindPhaseDetected:  {"adore_core_phases_detected_total", "stable phases confirmed by the detector"},
@@ -28,6 +30,9 @@ var kindMetrics = [...]struct{ name, help string }{
 	obs.KindPolicySelected: {"adore_core_policy_selections_total", "per-phase prefetch-policy decisions"},
 	obs.KindPolicySwitched: {"adore_core_policy_switches_total", "selector fallbacks after an empty optimize"},
 }
+
+// execSide ends every adore_core_* help string.
+const execSide = " (execution-side: a fork continuation does not re-count its restored prefix)"
 
 // emit records one event on all three views: Stats, the live counter and
 // the ring.

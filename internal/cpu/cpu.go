@@ -139,6 +139,21 @@ type CPU struct {
 	// line-number shift so step neither re-tests config nor divides.
 	modelI   bool
 	l1iShift uint
+	// l2HitLat is the hierarchy's L2 hit latency: an FP load slower than
+	// this counts as a data-cache miss for the PMU.
+	l2HitLat uint64
+
+	// sampleAt is the cycle at which the next retire must hand the PMU its
+	// sample (the PMU's NextSampleAt; ^0 without a PMU or while sampling
+	// is off), so retire is an increment and one compare. It is re-read
+	// wherever the PMU's schedule can change: after a sample, after the
+	// poll hooks run and on entry to RunContext.
+	sampleAt uint64
+	// pmuRetired is the Stats.Retired count already folded into
+	// PMU.Retired. The PMU's counter is brought up to date only where
+	// something outside the step loop can read it: at a sample, at a hook
+	// boundary and when RunContext returns (foldRetired).
+	pmuRetired uint64
 
 	acct accounting // CPI-stack attribution (Config.Accounting)
 	prof profiler   // cycle-sampling profiler (EnableProfiler; profile.go)
@@ -158,6 +173,10 @@ func New(cfg Config, code *program.CodeSpace, mem *memsys.Memory, hier *memsys.H
 	if c.modelI {
 		c.l1iShift = uint(bits.TrailingZeros64(uint64(hier.L1I.LineSize())))
 	}
+	if hier != nil {
+		c.l2HitLat = uint64(hier.Config().L2.HitLat)
+	}
+	c.syncSampleGate()
 	c.attachCode(code)
 	return c
 }
@@ -193,6 +212,8 @@ func (c *CPU) Reset() {
 		}
 	}
 	c.Stats = Stats{}
+	c.pmuRetired = 0
+	c.syncSampleGate()
 	c.resetAccounting()
 	c.resetProfiler()
 }
@@ -291,6 +312,10 @@ func (c *CPU) Run(maxInstructions uint64) (Stats, error) {
 // returned if it fires mid-run. A context that can never be cancelled adds
 // no per-bundle cost.
 func (c *CPU) RunContext(ctx context.Context, maxInstructions uint64) (Stats, error) {
+	// The PMU may have been started, stopped or restored since the last
+	// run; every exit folds the retired count back into it.
+	c.syncSampleGate()
+	defer c.foldRetired()
 	done := ctx.Done()
 	sinceCheck := 0
 	for !c.halted {
@@ -327,10 +352,14 @@ func (c *CPU) step() error {
 	// next-fire cycle across hooks, so the no-hook (and between-fires)
 	// path is a single compare.
 	if c.cycle >= c.hookNext {
+		// Hooks and the fork engine's snapshot read the PMU's counters;
+		// hooks may start or stop sampling.
+		c.foldRetired()
 		if c.preHook != nil {
 			c.preHook(c.cycle)
 		}
 		c.runHooks()
+		c.syncSampleGate()
 	}
 
 	bundleAddr := c.pc &^ uint64(isa.BundleBytes-1)
@@ -450,28 +479,27 @@ func (c *CPU) executeBundle(bundleAddr uint64, b *isa.Bundle, slot int) error {
 	for s := slot; s < 3; s++ {
 		pc := bundleAddr + uint64(s)
 		in := &b.Slots[s]
-		// Conditional branches handle their own predicate so that not-taken
-		// outcomes still reach the PMU's branch trace buffer.
-		if in.Op == isa.OpBrCond {
-			redirect, err := c.execBrCond(pc, in)
-			if err != nil {
-				return err
-			}
-			if redirect {
-				return nil
-			}
-			continue
-		}
-		// Any other predicated-off instruction occupies its slot and retires
-		// with no effect and no stalls.
-		if in.QP != 0 && !c.PR[in.QP] {
+		// A predicated-off instruction occupies its slot and retires with
+		// no effect and no stalls. Conditional branches handle their own
+		// predicate so that not-taken outcomes still reach the PMU's
+		// branch trace buffer.
+		if in.QP != 0 && !c.PR[in.QP] && in.Op != isa.OpBrCond {
 			c.retire(pc)
 			continue
 		}
 
 		switch in.Op {
-		case isa.OpNop, isa.OpAlloc:
-			// no effect
+		case isa.OpNop:
+			// The code image gives every no-effect slot this form, Imm
+			// counting the no-effect slots that follow it (predecode.go).
+			// Nops never move the clock, so when no sample is due here
+			// none falls due inside the run: retire it in one add.
+			// Otherwise retire this slot alone, so the sample lands on it.
+			if c.cycle < c.sampleAt {
+				c.Stats.Retired += uint64(in.Imm) + 1
+				s += int(in.Imm)
+				continue
+			}
 
 		case isa.OpAdd:
 			c.wait(in.R2)
@@ -554,11 +582,11 @@ func (c *CPU) executeBundle(bundleAddr uint64, b *isa.Bundle, slot int) error {
 			v := c.Mem.ReadFloat(addr)
 			lat := uint64(1)
 			if c.Hier != nil {
-				r := c.Hier.Access(c.cycle, addr, memsys.KindLoadFP)
+				r := c.Hier.AccessLoadFP(c.cycle, addr)
 				lat = r.Latency
 				// FP loads bypass L1; only count events slower than an
 				// L2 hit as data-cache misses.
-				if c.PMU != nil && lat > uint64(c.Hier.Config().L2.HitLat) {
+				if c.PMU != nil && lat > c.l2HitLat {
 					c.PMU.OnLoadMiss(pc, addr, uint32(lat))
 				}
 			}
@@ -642,6 +670,11 @@ func (c *CPU) executeBundle(bundleAddr uint64, b *isa.Bundle, slot int) error {
 			c.wait(in.R2)
 			c.writeFR(in.F1, float64(int64(c.GR[in.R2])), c.cycle+fpLat)
 
+		case isa.OpBrCond:
+			if c.execBrCond(pc, in) {
+				return nil
+			}
+			continue
 		case isa.OpBr:
 			c.reservePort(&c.brUsed, c.cfg.BranchUnits)
 			c.retire(pc)
@@ -690,8 +723,8 @@ func (c *CPU) executeBundle(bundleAddr uint64, b *isa.Bundle, slot int) error {
 }
 
 // execBrCond executes a conditional branch, including its PMU reporting and
-// BTFN prediction accounting.
-func (c *CPU) execBrCond(pc uint64, in *isa.Inst) (bool, error) {
+// BTFN prediction accounting, and reports whether it redirected fetch.
+func (c *CPU) execBrCond(pc uint64, in *isa.Inst) bool {
 	c.reservePort(&c.brUsed, c.cfg.BranchUnits)
 	taken := in.QP == 0 || c.PR[in.QP]
 	c.retire(pc)
@@ -701,14 +734,14 @@ func (c *CPU) execBrCond(pc uint64, in *isa.Inst) (bool, error) {
 	backward := in.Target <= pc
 	if taken {
 		c.redirect(in.Target, !backward)
-		return true, nil
+		return true
 	}
 	if backward {
 		// BTFN predicted taken: a not-taken backward branch (loop
 		// exit) mispredicts.
 		c.mispredict()
 	}
-	return false, nil
+	return false
 }
 
 // redirect moves fetch to target, charging the misprediction penalty or the
@@ -742,28 +775,44 @@ func (c *CPU) setPred(p isa.PReg, v bool) {
 }
 
 // retire counts one retired instruction and gives the PMU its sampling
-// opportunity. The monitored-run work lives in retireSampled so that
-// retire itself inlines into execute's dispatch cases — without a PMU it
-// is a counter increment and a nil check.
+// opportunity: an increment and a compare against sampleAt, which inline
+// into execute's dispatch cases whether or not a PMU is attached. The
+// sample itself lives in takeSample.
 func (c *CPU) retire(pc uint64) {
 	c.Stats.Retired++
-	if c.PMU != nil {
-		c.retireSampled(pc)
+	if c.cycle >= c.sampleAt {
+		c.takeSample(pc)
 	}
 }
 
-func (c *CPU) retireSampled(pc uint64) {
-	c.PMU.Retired++
-	if c.cycle >= c.PMU.NextSampleAt() {
-		before := c.PMU.OverheadCycles
-		c.PMU.TakeSample(pc, c.cycle)
-		if d := c.PMU.OverheadCycles - before; d > 0 {
-			c.Stats.SampleCharges += d
-			// Sample-handler charges account as busy, like any other
-			// runtime work billed to the thread.
-			c.advanceCycle(c.cycle+d, acctBusy)
-		}
+func (c *CPU) takeSample(pc uint64) {
+	c.foldRetired()
+	before := c.PMU.OverheadCycles
+	c.PMU.TakeSample(pc, c.cycle)
+	c.syncSampleGate()
+	if d := c.PMU.OverheadCycles - before; d > 0 {
+		c.Stats.SampleCharges += d
+		// Sample-handler charges account as busy, like any other
+		// runtime work billed to the thread.
+		c.advanceCycle(c.cycle+d, acctBusy)
 	}
+}
+
+// syncSampleGate re-reads the PMU's sampling schedule into sampleAt.
+func (c *CPU) syncSampleGate() {
+	c.sampleAt = ^uint64(0)
+	if c.PMU != nil {
+		c.sampleAt = c.PMU.NextSampleAt()
+	}
+}
+
+// foldRetired brings PMU.Retired up to date with the instructions retired
+// since the last fold.
+func (c *CPU) foldRetired() {
+	if c.PMU != nil {
+		c.PMU.Retired += c.Stats.Retired - c.pmuRetired
+	}
+	c.pmuRetired = c.Stats.Retired
 }
 
 func compare(rel isa.CmpRel, a, b uint64) bool { return isa.Compare(rel, a, b) }

@@ -24,6 +24,15 @@ import (
 // ADORE allocates its trace pool mid-setup). Patch install, UnpatchAll and
 // trace-pool writes therefore cost one bundle copy each, and the fetch
 // path never re-validates against the code space.
+//
+// The copy is also where the interpreter's per-slot work is settled
+// once: markNopRuns rewrites every no-effect slot (OpNop, and OpAlloc,
+// which this model executes as a nop) into a canonical nop whose Imm
+// counts the no-effect slots that directly follow it in its bundle, so a
+// plain isa.Nop (Imm 0) is a correct run of one. The bundle templates
+// make about four in ten dynamic slots nops; executeBundle retires each
+// run with one dispatch and one add. The count lives in a field a nop
+// never reads, so the slab stays the size of the code it mirrors.
 
 // codeSlab is the predecoded form of one code segment.
 type codeSlab struct {
@@ -64,6 +73,7 @@ func (p *predecode) add(seg *program.Segment) *codeSlab {
 		bundles: append([]isa.Bundle(nil), seg.Bundles...),
 		seg:     seg,
 	}
+	markNopRuns(s.bundles)
 	p.slabs = append(p.slabs, s)
 	return s
 }
@@ -101,8 +111,28 @@ func (c *CPU) onCodeChange(seg *program.Segment, first, n int) {
 	for _, s := range c.pre.slabs {
 		if s.seg == seg {
 			copy(s.bundles[first:first+n], seg.Bundles[first:first+n])
+			markNopRuns(s.bundles[first : first+n])
 			return
 		}
 	}
 	c.pre.add(seg)
+}
+
+// markNopRuns rewrites the no-effect slots of bs into canonical nops
+// carrying the length of the rest of their run (see the coherence
+// contract above). The qualifying predicate is dropped: a no-effect slot
+// retires the same whether or not it holds.
+func markNopRuns(bs []isa.Bundle) {
+	for i := range bs {
+		after := int64(-1) // no-effect slots after slot s, -1 when s is not one
+		for s := 2; s >= 0; s-- {
+			in := &bs[i].Slots[s]
+			if in.Op != isa.OpNop && in.Op != isa.OpAlloc {
+				after = -1
+				continue
+			}
+			after++
+			*in = isa.Inst{Op: isa.OpNop, Imm: after}
+		}
+	}
 }

@@ -84,7 +84,8 @@ type Snapshot struct {
 	acct acctState
 	prof profState
 
-	stats Stats
+	stats      Stats
+	pmuRetired uint64
 }
 
 // Snapshot deep-copies the CPU's mutable state.
@@ -113,7 +114,8 @@ func (c *CPU) Snapshot() *Snapshot {
 		lastFetchLine: c.lastFetchLine,
 		hookNext:      c.hookNext,
 
-		stats: c.Stats,
+		stats:      c.Stats,
+		pmuRetired: c.pmuRetired,
 	}
 	s.hooks = make([]hookState, len(c.hooks))
 	for i := range c.hooks {
@@ -201,6 +203,10 @@ func (c *CPU) Restore(s *Snapshot) error {
 	}
 	c.hookNext = s.hookNext
 	c.Stats = s.stats
+	c.pmuRetired = s.pmuRetired
+	// The PMU is restored separately, possibly after this; RunContext
+	// re-reads its schedule on entry either way.
+	c.syncSampleGate()
 
 	c.acct.stack = s.acct.stack
 	c.acct.curLoop = s.acct.curLoop

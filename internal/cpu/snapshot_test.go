@@ -55,11 +55,14 @@ func TestCPUSnapshotFieldCoverage(t *testing.T) {
 		"acct":          "captured (acctState)",
 		"prof":          "captured (profState)",
 		"Stats":         "captured",
+		"pmuRetired":    "captured: the PMU snapshot holds the count folded so far",
 
 		"preHook":  "host closure, re-registered by the resuming assembly",
 		"pre":      "derived from the code space, kept coherent by change hooks",
 		"modelI":   "derived from cfg",
 		"l1iShift": "derived from cfg",
+		"l2HitLat": "derived from the hierarchy's config",
+		"sampleAt": "derived from the PMU's schedule, re-read by Reset, Restore and RunContext",
 	})
 	checkFieldCoverage(t, reflect.TypeOf(accounting{}), map[string]string{
 		"stack":      "captured",

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/compiler"
@@ -14,15 +15,25 @@ import (
 // observability {off,on} — and the engines must agree on final
 // architectural state, memory, and counters (see DiffAgainst). The oracle
 // runs once per (workload, level); the four machine runs compare against
-// that single result.
+// that single result. The (workload, level) cells are independent and run
+// in parallel; the patch total is checked once all of them are done.
 func TestDifferentialAllWorkloads(t *testing.T) {
 	const scale = 0.02
-	var patched int64 // across all ADORE legs; proves the matrix isn't vacuous
+	var patched atomic.Int64 // across all ADORE legs; proves the matrix isn't vacuous
+	// Cleanup runs after every parallel cell has finished.
+	t.Cleanup(func() {
+		// The transparency claim is only tested if patches were
+		// installed. At this scale ~15 of the 17 workloads patch;
+		// require a healthy margin so a silent regression in the
+		// optimizer trips the test.
+		if n := patched.Load(); n < 10 {
+			t.Errorf("only %d traces patched across all ADORE legs; matrix is near-vacuous", n)
+		}
+	})
 	for _, bench := range workloads.All(scale) {
-		bench := bench
 		for _, level := range []compiler.OptLevel{compiler.O2, compiler.O3} {
-			level := level
 			t.Run(fmt.Sprintf("%s/%s", bench.Name, level), func(t *testing.T) {
+				t.Parallel()
 				opts := compiler.DefaultOptions()
 				opts.Level = level
 				build, err := compiler.Build(bench.Kernel, opts)
@@ -59,17 +70,11 @@ func TestDifferentialAllWorkloads(t *testing.T) {
 						t.Errorf("%s: %s", mode.name, rep)
 					}
 					if mode.adore && rep.CPU.Core != nil {
-						patched += int64(rep.CPU.Core.TracesPatched)
+						patched.Add(int64(rep.CPU.Core.TracesPatched))
 					}
 				}
 			})
 		}
-	}
-	// The transparency claim is only tested if patches were installed.
-	// At this scale ~15 of the 17 workloads patch; require a healthy
-	// margin so a silent regression in the optimizer trips the test.
-	if patched < 10 {
-		t.Errorf("only %d traces patched across all ADORE legs; matrix is near-vacuous", patched)
 	}
 }
 

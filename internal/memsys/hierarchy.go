@@ -230,7 +230,13 @@ func (h *Hierarchy) Access(now uint64, addr uint64, kind AccessKind) Result {
 	case KindPrefetch:
 		return h.AccessPrefetch(now, addr)
 	}
-	return h.accessDataMiss(now, addr, kind) // KindLoadFP: straight to L2
+	return h.AccessLoadFP(now, addr)
+}
+
+// AccessLoadFP resolves a floating-point load: FP loads bypass L1D, so it
+// goes straight to the shared miss path at L2.
+func (h *Hierarchy) AccessLoadFP(now uint64, addr uint64) Result {
+	return h.accessDataMiss(now, addr, KindLoadFP)
 }
 
 // AccessLoad resolves an integer load: L1D first, then the shared miss

@@ -91,7 +91,9 @@ type PMU struct {
 	cfg     Config
 	enabled bool
 
-	// Accumulative architectural counters, updated by the CPU.
+	// Accumulative architectural counters, updated by the CPU. The CPU
+	// folds Retired in batches, current at every sample, hook boundary
+	// and run exit (cpu.CPU.foldRetired).
 	Cycles  uint64
 	Retired uint64
 	DMiss   uint64
@@ -165,8 +167,9 @@ func (p *PMU) Stop() {
 // Enabled reports whether sampling is active.
 func (p *PMU) Enabled() bool { return p.enabled }
 
-// NextSampleAt returns the cycle of the next sample; the CPU compares this
-// inline to avoid a call per retired instruction.
+// NextSampleAt returns the cycle of the next sample, or ^0 while sampling
+// is off. The CPU keeps a copy to compare against on every retire and
+// re-reads it wherever the schedule can change.
 func (p *PMU) NextSampleAt() uint64 {
 	if !p.enabled {
 		return ^uint64(0)
