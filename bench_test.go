@@ -97,6 +97,37 @@ func BenchmarkFig7Serial(b *testing.B) { benchFig7AtParallelism(b, 1) }
 // the perf trajectory.
 func BenchmarkFig7Parallel(b *testing.B) { benchFig7AtParallelism(b, 0) }
 
+// BenchmarkPaperSweep runs Fig. 7(a), Fig. 7(b), Table 1 and Fig. 11, in
+// that order, on one fresh single-worker engine per iteration at the golden
+// corpus configuration — the sweeps adore-bench runs on one shared engine.
+// cache-hits/op counts the runs one iteration served from the result cache
+// instead of simulating, so a change in how much the sweeps share shows
+// up next to its time.
+func BenchmarkPaperSweep(b *testing.B) {
+	if testing.Short() {
+		b.Skip("long: four 17-benchmark sweeps")
+	}
+	cfg := harness.GoldenExpConfig()
+	var hits uint64
+	for i := 0; i < b.N; i++ {
+		cfg.Engine = harness.NewEngine(harness.EngineConfig{Parallelism: 1})
+		for _, level := range []compiler.OptLevel{compiler.O2, compiler.O3} {
+			if _, err := harness.RunFig7(cfg, level); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := harness.RunTable1(cfg); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := harness.RunFig11(cfg); err != nil {
+			b.Fatal(err)
+		}
+		h, _ := cfg.Engine.Results().Stats()
+		hits += h
+	}
+	b.ReportMetric(float64(hits)/float64(b.N), "cache-hits/op")
+}
+
 // BenchmarkTable1 regenerates the profile-guided static prefetching table.
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -138,6 +138,12 @@ type Controller struct {
 	// hook the harness uses to record the Fig. 8/9 time series.
 	OnWindow func(WindowMetrics)
 
+	// OnSamples, when set, receives every overflow's samples before they
+	// enter the User Event Buffer — the hook the harness uses to capture
+	// a run's DEAR profile. The slice is the PMU's buffer and is reused
+	// after the call returns.
+	OnSamples func([]pmu.Sample)
+
 	// OnOptimize, when set, observes every trace optimization attempt
 	// (tooling and tests; not used by the pipeline itself). cycle is the
 	// simulated clock at the decision (PrefetchContext.Cycle).
@@ -208,6 +214,9 @@ func (c *Controller) Attach(m *cpu.CPU) {
 // into the User Event Buffer. Its cycle cost is charged by the PMU itself
 // (HandlerCyclesPerSample).
 func (c *Controller) onOverflow(samples []pmu.Sample) {
+	if c.OnSamples != nil {
+		c.OnSamples(samples)
+	}
 	w := c.ueb.AddWindow(samples)
 	c.newWindows = append(c.newWindows, w)
 	c.emit(obs.Event{

@@ -54,6 +54,7 @@ func TestControllerSnapshotFieldCoverage(t *testing.T) {
 		"counters":   "structural: resolved from cfg.Metrics by NewController; fleet-wide instruments, not run state",
 
 		"OnWindow":      "host closure, re-registered by the resuming assembly",
+		"OnSamples":     "host closure, re-registered by the resuming assembly",
 		"OnOptimize":    "host closure, re-registered by the resuming assembly",
 		"OnPolicyPoint": "host closure (the fork engine's own divergence hook)",
 	})

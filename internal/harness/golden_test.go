@@ -57,6 +57,30 @@ func TestGoldenCorpus(t *testing.T) {
 	for _, d := range g.Compare(o2, o3, t1, Table2FromFig7(o2)) {
 		t.Error(d)
 	}
+
+	// Fig. 11 on the same engine simulates nothing new: its plain runs
+	// are Fig. 7(a)'s base runs and its monitor runs Table 1's training
+	// runs. It is checked here rather than pinned in the corpus, which
+	// stays as it is.
+	_, missesBefore := cfg.Engine.Results().Stats()
+	f11, err := RunFig11(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, misses := cfg.Engine.Results().Stats(); misses != missesBefore {
+		t.Errorf("fig11 after table1 added %d result-cache misses, want 0", misses-missesBefore)
+	}
+	if len(f11.Rows) != len(o2.Rows) {
+		t.Fatalf("fig11 has %d rows, fig7a %d", len(f11.Rows), len(o2.Rows))
+	}
+	for i, r := range f11.Rows {
+		if r.Name != o2.Rows[i].Name || r.Plain != o2.Rows[i].Base {
+			t.Errorf("fig11 row %d (%s): plain cycles %d, fig7a %s base %d", i, r.Name, r.Plain, o2.Rows[i].Name, o2.Rows[i].Base)
+		}
+		if r.Overhead < 0 || r.Overhead > 0.02 {
+			t.Errorf("fig11/%s: monitor overhead %.2f%%, want within [0, 2%%]", r.Name, r.Overhead*100)
+		}
+	}
 }
 
 // singleBenchFig7 runs one benchmark's base/adore pair — the cheap probe

@@ -216,11 +216,18 @@ func CollectPolicyGolden(cfg ExpConfig) (*PolicyGolden, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := &PolicyGolden{Scale: cfg.Scale, Tol: DefaultGoldenTolerance(), Policies: m.Policies}
+	return pinPolicyMatrix(m, cfg.Scale), nil
+}
+
+// pinPolicyMatrix turns a matrix swept at the given scale into its golden
+// form under the default tolerances. The rows share m's cycle and
+// prefetch maps.
+func pinPolicyMatrix(m *PolicyMatrixResult, scale float64) *PolicyGolden {
+	g := &PolicyGolden{Scale: scale, Tol: DefaultGoldenTolerance(), Policies: m.Policies}
 	for _, r := range m.Rows {
 		g.Rows = append(g.Rows, GoldenPolicyRow{Name: r.Name, Cycles: r.Cycles, Prefetches: r.Prefetches})
 	}
-	return g, nil
+	return g
 }
 
 // LoadPolicyGolden reads the pinned matrix.

@@ -55,11 +55,7 @@ func TestPolicyMatrixGolden(t *testing.T) {
 	m := straightPolicyMatrix(t)
 
 	if *updatePolicyGolden {
-		g := &PolicyGolden{Scale: cfg.Scale, Tol: DefaultGoldenTolerance(), Policies: m.Policies}
-		for _, r := range m.Rows {
-			g.Rows = append(g.Rows, GoldenPolicyRow{Name: r.Name, Cycles: r.Cycles, Prefetches: r.Prefetches})
-		}
-		if err := g.Save(policyGoldenPath); err != nil {
+		if err := pinPolicyMatrix(m, cfg.Scale).Save(policyGoldenPath); err != nil {
 			t.Fatal(err)
 		}
 		t.Logf("policy matrix golden regenerated at %s", policyGoldenPath)
@@ -141,18 +137,12 @@ func TestPolicyMatrixRenderAndBest(t *testing.T) {
 	}
 }
 
-// TestPolicyGoldenRoundTrip drives the full pin path on a real (tiny-scale)
-// matrix: collect → save → load → compare is divergence-free, and each
-// perturbation class — cycles drift, prefetch-count change, renamed row,
-// dropped row, different column set — is caught as its own divergence.
+// TestPolicyGoldenRoundTrip drives the full pin path on the shared
+// golden-scale matrix: pin → save → load → compare is divergence-free, and
+// each perturbation class — cycles drift, prefetch-count change, renamed
+// row, dropped row, different column set — is caught as its own divergence.
 func TestPolicyGoldenRoundTrip(t *testing.T) {
-	cfg := GoldenExpConfig()
-	cfg.Scale = 0.02
-	cfg.Engine = NewEngine(EngineConfig{})
-	g, err := CollectPolicyGolden(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := pinPolicyMatrix(straightPolicyMatrix(t), GoldenExpConfig().Scale)
 	if !equalStrings(g.Policies, PolicyColumns()) {
 		t.Fatalf("collector columns %v, want %v", g.Policies, PolicyColumns())
 	}

@@ -36,8 +36,10 @@ type RunConfig struct {
 	// metrics over time.
 	SampleOnly bool
 
-	// CaptureDear additionally collects every sampled DEAR event
-	// (requires SampleOnly) — the training profile for Table 1.
+	// CaptureDear additionally collects every sampled DEAR event into
+	// RunResult.DearEvents, on a SampleOnly or an ADORE run. Table 1's
+	// training profile is the capture of Fig. 11's monitor run
+	// (ExpConfig.monitorConfig).
 	CaptureDear bool
 
 	// OnOptimize, when set with ADORE, observes every trace
@@ -159,8 +161,9 @@ type RunResult struct {
 // ProfiledRun is a training run carrying its miss profile.
 type ProfiledRun = RunResult
 
-// RunProfiled runs the workload with sampling only, capturing the DEAR
-// profile used by the Table 1 profile-guided compilation.
+// RunProfiled runs the workload with sampling only, capturing its DEAR
+// profile (adore-profile's view). Table 1 takes the same profile from
+// Fig. 11's monitor run instead, which simulates the same machine.
 func RunProfiled(build *compiler.BuildResult, cfg RunConfig) (*ProfiledRun, error) {
 	return RunProfiledContext(context.Background(), build, cfg)
 }
@@ -262,6 +265,17 @@ func runImage(ctx context.Context, img *program.Image, cfg RunConfig, probe *for
 		})
 	}
 
+	var capture func([]pmu.Sample)
+	if cfg.CaptureDear {
+		capture = func(s []pmu.Sample) {
+			for i := range s {
+				if d := s[i].DEAR; d.Valid {
+					res.DearEvents = append(res.DearEvents, DearEvent{PC: d.PC, Addr: d.Addr, Latency: d.Latency})
+				}
+			}
+		}
+	}
+
 	switch {
 	case cfg.ADORE:
 		var err error
@@ -270,18 +284,15 @@ func runImage(ctx context.Context, img *program.Image, cfg RunConfig, probe *for
 			return nil, err
 		}
 		ctrl.OnWindow = record
+		ctrl.OnSamples = capture
 		ctrl.OnOptimize = cfg.OnOptimize
 		ctrl.SetImage(img)
 		ctrl.Attach(m)
 	case cfg.SampleOnly:
 		ueb := core.NewUEB(cfg.Core.W)
 		p.SetHandler(func(s []pmu.Sample) {
-			if cfg.CaptureDear {
-				for i := range s {
-					if d := s[i].DEAR; d.Valid {
-						res.DearEvents = append(res.DearEvents, DearEvent{PC: d.PC, Addr: d.Addr, Latency: d.Latency})
-					}
-				}
+			if capture != nil {
+				capture(s)
 			}
 			record(ueb.AddWindow(s))
 		})

@@ -211,28 +211,6 @@ func (h *Hierarchy) memFetch(now uint64) (readyAt uint64) {
 	return start + uint64(h.cfg.MemLatency)
 }
 
-// Access runs one data access through the hierarchy at time now and
-// returns its timing. The functional value transfer happens elsewhere
-// (Memory); Access only moves lines and accounts cycles.
-//
-// It is a dispatcher over the per-kind entry points below. The CPU's hot
-// paths call those directly — with the kind fixed at the call site the
-// dispatch is dead weight on every simulated access — but kind-driven
-// callers (tests, tools replaying traces) keep this single front door.
-func (h *Hierarchy) Access(now uint64, addr uint64, kind AccessKind) Result {
-	switch kind {
-	case KindLoad:
-		return h.AccessLoad(now, addr)
-	case KindStore:
-		return h.AccessStore(now, addr)
-	case KindInst:
-		return h.AccessInst(now, addr)
-	case KindPrefetch:
-		return h.AccessPrefetch(now, addr)
-	}
-	return h.AccessLoadFP(now, addr)
-}
-
 // AccessLoadFP resolves a floating-point load: FP loads bypass L1D, so it
 // goes straight to the shared miss path at L2.
 func (h *Hierarchy) AccessLoadFP(now uint64, addr uint64) Result {
@@ -267,7 +245,7 @@ func (h *Hierarchy) AccessStore(now uint64, addr uint64) Result {
 }
 
 // accessDataMiss resolves a demand data access past L1D: the L2/L3/memory
-// portion of Access, shared by L1D misses and L1D-bypassing FP loads.
+// portion shared by L1D misses and L1D-bypassing FP loads.
 func (h *Hierarchy) accessDataMiss(now uint64, addr uint64, kind AccessKind) Result {
 	isWrite := kind == KindStore
 	if hit, ready := h.L2.Access(now, addr, isWrite); hit {

@@ -69,6 +69,22 @@ func TestMemoryWriteReadProperty(t *testing.T) {
 	}
 }
 
+// access runs one access of the given kind through the hierarchy's per-kind
+// entry point, so the tests below can name the client by its kind.
+func access(h *Hierarchy, now, addr uint64, kind AccessKind) Result {
+	switch kind {
+	case KindLoad:
+		return h.AccessLoad(now, addr)
+	case KindStore:
+		return h.AccessStore(now, addr)
+	case KindInst:
+		return h.AccessInst(now, addr)
+	case KindPrefetch:
+		return h.AccessPrefetch(now, addr)
+	}
+	return h.AccessLoadFP(now, addr)
+}
+
 func smallConfig() HierarchyConfig {
 	return HierarchyConfig{
 		L1D:          CacheConfig{Name: "L1D", Size: 1 << 10, LineSize: 64, Assoc: 2, HitLat: 1},
@@ -92,7 +108,7 @@ func TestCacheGeometryValidation(t *testing.T) {
 
 func TestColdMissThenHit(t *testing.T) {
 	h := NewHierarchy(smallConfig())
-	r := h.Access(0, 0x4000, KindLoad)
+	r := access(h, 0, 0x4000, KindLoad)
 	if r.Level != LevelMem {
 		t.Fatalf("cold access level = %v", r.Level)
 	}
@@ -101,7 +117,7 @@ func TestColdMissThenHit(t *testing.T) {
 	}
 	// After the fill completes, it is an L1 hit.
 	later := r.Latency + 10
-	r2 := h.Access(later, 0x4000, KindLoad)
+	r2 := access(h, later, 0x4000, KindLoad)
 	if r2.Level != LevelL1 || r2.Latency != 1 {
 		t.Fatalf("post-fill access = %+v", r2)
 	}
@@ -109,10 +125,10 @@ func TestColdMissThenHit(t *testing.T) {
 
 func TestInFlightFillWaits(t *testing.T) {
 	h := NewHierarchy(smallConfig())
-	r := h.Access(0, 0x4000, KindLoad)
+	r := access(h, 0, 0x4000, KindLoad)
 	// A second access to the same line before the fill completes waits
 	// only for the remainder (miss coalescing), not a full memory trip.
-	r2 := h.Access(50, 0x4000, KindLoad)
+	r2 := access(h, 50, 0x4000, KindLoad)
 	if r2.Level != LevelL1 {
 		t.Fatalf("coalesced access level = %v", r2.Level)
 	}
@@ -124,8 +140,8 @@ func TestInFlightFillWaits(t *testing.T) {
 
 func TestFPLoadBypassesL1(t *testing.T) {
 	h := NewHierarchy(smallConfig())
-	h.Access(0, 0x8000, KindLoad) // fills all levels
-	r := h.Access(1000, 0x8000, KindLoadFP)
+	access(h, 0, 0x8000, KindLoad) // fills all levels
+	r := access(h, 1000, 0x8000, KindLoadFP)
 	if r.Level != LevelL2 {
 		t.Fatalf("FP load level = %v, want L2", r.Level)
 	}
@@ -136,18 +152,18 @@ func TestFPLoadBypassesL1(t *testing.T) {
 
 func TestPrefetchHidesLatency(t *testing.T) {
 	h := NewHierarchy(smallConfig())
-	pf := h.Access(0, 0xc000, KindPrefetch)
+	pf := access(h, 0, 0xc000, KindPrefetch)
 	if pf.Latency != 0 || pf.Dropped {
 		t.Fatalf("prefetch result = %+v", pf)
 	}
 	// Demand access long after the prefetch: full hit.
-	r := h.Access(1000, 0xc000, KindLoad)
+	r := access(h, 1000, 0xc000, KindLoad)
 	if r.Level != LevelL1 || r.Latency != 1 {
 		t.Fatalf("post-prefetch access = %+v", r)
 	}
 	// Late prefetch: demand arrives before fill completes, waits partially.
-	h.Access(2000, 0x10000, KindPrefetch)
-	r2 := h.Access(2100, 0x10000, KindLoad)
+	access(h, 2000, 0x10000, KindPrefetch)
+	r2 := access(h, 2100, 0x10000, KindLoad)
 	if r2.Latency == 0 || r2.Latency >= 160 {
 		t.Fatalf("late-prefetch latency = %d, want partial wait", r2.Latency)
 	}
@@ -159,9 +175,9 @@ func TestPrefetchHidesLatency(t *testing.T) {
 func TestMSHRFullDropsPrefetch(t *testing.T) {
 	h := NewHierarchy(smallConfig()) // 4 MSHRs
 	for i := 0; i < 4; i++ {
-		h.Access(0, uint64(0x20000+i*4096), KindPrefetch)
+		access(h, 0, uint64(0x20000+i*4096), KindPrefetch)
 	}
-	r := h.Access(0, 0x40000, KindPrefetch)
+	r := access(h, 0, 0x40000, KindPrefetch)
 	if !r.Dropped {
 		t.Fatal("5th concurrent prefetch not dropped")
 	}
@@ -169,7 +185,7 @@ func TestMSHRFullDropsPrefetch(t *testing.T) {
 		t.Fatalf("DroppedPrefetches = %d", h.DroppedPrefetches)
 	}
 	// A demand miss instead waits for an MSHR.
-	r2 := h.Access(0, 0x50000, KindLoad)
+	r2 := access(h, 0, 0x50000, KindLoad)
 	if r2.Latency <= 160 {
 		t.Fatalf("demand miss under full MSHRs latency = %d, want > mem latency", r2.Latency)
 	}
@@ -180,8 +196,8 @@ func TestMSHRFullDropsPrefetch(t *testing.T) {
 
 func TestBusOccupancySerializesMisses(t *testing.T) {
 	h := NewHierarchy(smallConfig())
-	r1 := h.Access(0, 0x100000, KindLoad)
-	r2 := h.Access(0, 0x200000, KindLoad)
+	r1 := access(h, 0, 0x100000, KindLoad)
+	r2 := access(h, 0, 0x200000, KindLoad)
 	if r2.Latency != r1.Latency+16 {
 		t.Fatalf("second miss latency = %d, want %d (bus occupancy)", r2.Latency, r1.Latency+16)
 	}
@@ -235,11 +251,11 @@ func TestStatsMissRatio(t *testing.T) {
 
 func TestInstFetchPath(t *testing.T) {
 	h := NewHierarchy(smallConfig())
-	r := h.Access(0, 0x7000, KindInst)
+	r := access(h, 0, 0x7000, KindInst)
 	if r.Level != LevelMem {
 		t.Fatalf("cold inst fetch level = %v", r.Level)
 	}
-	r2 := h.Access(r.Latency+1, 0x7000, KindInst)
+	r2 := access(h, r.Latency+1, 0x7000, KindInst)
 	if r2.Level != LevelL1 || r2.Latency != 0 {
 		t.Fatalf("warm inst fetch = %+v", r2)
 	}
@@ -251,7 +267,7 @@ func TestInstFetchPath(t *testing.T) {
 
 func TestHierarchyReset(t *testing.T) {
 	h := NewHierarchy(smallConfig())
-	h.Access(0, 0x9000, KindLoad)
+	access(h, 0, 0x9000, KindLoad)
 	h.Reset()
 	if h.L1D.Probe(0x9000) || h.MemAccesses != 0 || h.L1D.Stats.Accesses != 0 {
 		t.Fatal("reset incomplete")
@@ -263,11 +279,11 @@ func TestHierarchyReset(t *testing.T) {
 // on fresh hierarchies with an idle bus.
 func TestLevelLatencyOrdering(t *testing.T) {
 	h := NewHierarchy(smallConfig())
-	memLat := h.Access(0, 0x1000, KindLoad).Latency
+	memLat := access(h, 0, 0x1000, KindLoad).Latency
 	h2 := NewHierarchy(smallConfig())
-	h2.Access(0, 0x1000, KindLoad)
-	l1Lat := h2.Access(100000, 0x1000, KindLoad).Latency
-	fp := h2.Access(200000, 0x1000, KindLoadFP).Latency
+	access(h2, 0, 0x1000, KindLoad)
+	l1Lat := access(h2, 100000, 0x1000, KindLoad).Latency
+	fp := access(h2, 200000, 0x1000, KindLoadFP).Latency
 	if !(l1Lat < fp && fp < memLat) {
 		t.Fatalf("latency ordering violated: L1=%d L2=%d MEM=%d", l1Lat, fp, memLat)
 	}
@@ -277,39 +293,39 @@ func TestPrefetchUsefulnessCounters(t *testing.T) {
 	h := NewHierarchy(smallConfig())
 
 	// Useful: demand touch long after the fill completed.
-	h.Access(0, 0xc000, KindPrefetch)
-	h.Access(1000, 0xc000, KindLoad)
+	access(h, 0, 0xc000, KindPrefetch)
+	access(h, 1000, 0xc000, KindLoad)
 	if h.L1D.Stats.PfUseful != 1 {
 		t.Fatalf("PfUseful = %d, want 1", h.L1D.Stats.PfUseful)
 	}
 
 	// Late: demand touch while the fill is still in flight.
-	h.Access(2000, 0x10000, KindPrefetch)
-	h.Access(2100, 0x10000, KindLoad)
+	access(h, 2000, 0x10000, KindPrefetch)
+	access(h, 2100, 0x10000, KindLoad)
 	if h.L1D.Stats.PfLate != 1 {
 		t.Fatalf("PfLate = %d, want 1", h.L1D.Stats.PfLate)
 	}
 
 	// The first demand touch consumes the pf bit: re-touching the same
 	// line is an ordinary hit, not another useful prefetch.
-	h.Access(3000, 0xc000, KindLoad)
+	access(h, 3000, 0xc000, KindLoad)
 	if h.L1D.Stats.PfUseful != 1 {
 		t.Fatalf("second touch recounted: PfUseful = %d", h.L1D.Stats.PfUseful)
 	}
 
 	// A prefetch probing its own line must not consume the bit.
-	h.Access(4000, 0x20000, KindPrefetch)
-	h.Access(5000, 0x20000, KindPrefetch)
-	h.Access(6000, 0x20000, KindLoad)
+	access(h, 4000, 0x20000, KindPrefetch)
+	access(h, 5000, 0x20000, KindPrefetch)
+	access(h, 6000, 0x20000, KindLoad)
 	if h.L1D.Stats.PfUseful != 2 {
 		t.Fatalf("prefetch probe consumed pf bit: PfUseful = %d, want 2", h.L1D.Stats.PfUseful)
 	}
 
 	// Unused: prefetched line evicted (1 KB / 64 B / 2-way L1D -> 8 sets,
 	// 512-byte set stride) before any demand touch.
-	h.Access(7000, 0x30000, KindPrefetch)
-	h.Access(8000, 0x30200, KindLoad)
-	h.Access(9000, 0x30400, KindLoad)
+	access(h, 7000, 0x30000, KindPrefetch)
+	access(h, 8000, 0x30200, KindLoad)
+	access(h, 9000, 0x30400, KindLoad)
 	if h.L1D.Stats.PfUnused != 1 {
 		t.Fatalf("PfUnused = %d, want 1", h.L1D.Stats.PfUnused)
 	}
@@ -324,7 +340,7 @@ func TestPrefetchUsefulnessCounters(t *testing.T) {
 
 	// Deltas for per-window sampling.
 	before := agg
-	h.Access(10000, 0x40000, KindPrefetch)
+	access(h, 10000, 0x40000, KindPrefetch)
 	d := h.Prefetch().Sub(before)
 	if d.Issued != 1 || d.Useful != 0 {
 		t.Fatalf("delta = %+v", d)
@@ -340,9 +356,9 @@ func TestDemandFillNotCountedUnused(t *testing.T) {
 	h := NewHierarchy(smallConfig())
 	// Demand-filled lines evicted untouched-again are not "unused
 	// prefetches": the pf bit is only set by lfetch fills.
-	h.Access(0, 0x50000, KindLoad)
-	h.Access(1000, 0x50200, KindLoad)
-	h.Access(2000, 0x50400, KindLoad)
+	access(h, 0, 0x50000, KindLoad)
+	access(h, 1000, 0x50200, KindLoad)
+	access(h, 2000, 0x50400, KindLoad)
 	if h.L1D.Stats.PfUnused != 0 {
 		t.Fatalf("PfUnused = %d, want 0", h.L1D.Stats.PfUnused)
 	}
