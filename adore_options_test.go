@@ -34,9 +34,9 @@ func TestRunOptionTransforms(t *testing.T) {
 			name:  "defaults",
 			build: adore.RunOptions,
 			check: func(t *testing.T, rc adore.RunConfig) {
-				if rc.ADORE || rc.Observe || rc.SampleOnly {
-					t.Errorf("defaults enable features: ADORE=%v Observe=%v SampleOnly=%v",
-						rc.ADORE, rc.Observe, rc.SampleOnly)
+				if rc.ADORE || rc.Observe || rc.CaptureDear || rc.RecordSeries || rc.Profile != 0 {
+					t.Errorf("defaults enable features: ADORE=%v Observe=%v CaptureDear=%v RecordSeries=%v Profile=%d",
+						rc.ADORE, rc.Observe, rc.CaptureDear, rc.RecordSeries, rc.Profile)
 				}
 				if rc.MaxInsts == 0 {
 					t.Error("no default instruction safety stop")

@@ -17,7 +17,7 @@
 // engine (DESIGN.md §16); -fork-json, which requires -fork, writes its
 // throughput summary. Either flag with an -exp that skips the policy
 // matrix is a usage error (exit status 2). One observed ADORE run with
-// its event stream exported is adore-trace's job (adore-trace -trace and
+// its event stream exported is adore-run's job (adore-run -trace and
 // -events).
 //
 // -metrics-addr serves live telemetry while the sweeps run — Prometheus

@@ -47,7 +47,7 @@ func main() {
 	dynamic := flag.Bool("adore", false, "run each workload under ADORE and lint the trace pool too")
 	analyze := flag.Bool("analyze", false, "print per-loop CFG/liveness/classification reports and static findings")
 	werror := flag.Bool("werror", false, "treat advisory and analysis findings as errors")
-	traceFile := flag.String("trace", "", "validate a Chrome trace-event file (as written by adore-trace -trace) and exit")
+	traceFile := flag.String("trace", "", "validate a Chrome trace-event file (as written by adore-run -trace) and exit")
 	flag.Parse()
 
 	if *traceFile != "" {

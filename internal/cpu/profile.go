@@ -72,7 +72,7 @@ type profiler struct {
 // before the run loop; a second call replaces the sampling state but would
 // stack a second hook, so it panics instead. Intervals with small factors
 // in common with loop trip cycles alias harmonically; callers should
-// prefer a prime (the CLI default is 4093).
+// prefer a prime (adore-run -annotate/-profile use 4093).
 //
 //adore:coldpath
 func (c *CPU) EnableProfiler(interval uint64) {

@@ -43,20 +43,16 @@ func TestRunDeterminism(t *testing.T) {
 // running the same sweep serially and on a 4-worker pool must produce
 // identical rows — order and values — because each run is hermetic and
 // results are slotted by index. This is what licenses the parallel engine.
+// The parallel side is the golden corpus's shared Fig. 7(a) sweep; the
+// serial side runs fresh.
 func TestFig7SerialParallelIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long: two full 17-benchmark sweeps")
 	}
-	cfg := DefaultExpConfig()
-	cfg.Scale = 0.05
-
+	_, parallel := goldenFig7O2(t)
+	cfg := GoldenExpConfig()
 	cfg.Engine = NewEngine(EngineConfig{Parallelism: 1})
 	serial, err := RunFig7(cfg, compiler.O2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Engine = NewEngine(EngineConfig{Parallelism: 4})
-	parallel, err := RunFig7(cfg, compiler.O2)
 	if err != nil {
 		t.Fatal(err)
 	}

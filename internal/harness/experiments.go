@@ -392,9 +392,10 @@ func RunSeriesContext(ctx context.Context, cfg ExpConfig, name string) (*SeriesR
 		return nil, err
 	}
 	sp := benchSpec(b, cfg.Scale, compiler.O2)
-	without := cfg.runConfig()
-	without.SampleOnly = true
-	without.Core = cfg.Core
+	// The "no runtime prefetching" side is Fig. 11's monitor run: the
+	// same PMU sampling, with patch insertion off.
+	without := cfg.monitorConfig()
+	without.CaptureDear = false
 	without.RecordSeries = true
 	with := cfg.runConfig()
 	with.ADORE = true
@@ -602,7 +603,7 @@ func (f *Fig11Result) Render() string {
 
 // selectLoops maps the run's DEAR profile back to compiler loops and keeps
 // the hottest loops covering the given fraction of miss latency.
-func selectLoops(pr *ProfiledRun, build *compiler.BuildResult, coverTarget float64) (map[int]bool, float64) {
+func selectLoops(pr *RunResult, build *compiler.BuildResult, coverTarget float64) (map[int]bool, float64) {
 	// Paper's procedure: sort the delinquent loads by total miss
 	// latency, take loads until they cover 90% of the total, then
 	// prefetch every loop containing at least one listed load. Only

@@ -184,9 +184,9 @@ func forkPrefixFingerprint(cfg RunConfig) string {
 
 // forkable reports whether a job can join a fork group: an ADORE run
 // with no observation hook (hooked runs see every optimization attempt,
-// including the probe's) and no sampling-only modes.
+// including the probe's) and no DEAR capture.
 func forkable(cfg RunConfig) bool {
-	return cfg.ADORE && cfg.OnOptimize == nil && !cfg.SampleOnly && !cfg.CaptureDear
+	return cfg.ADORE && cfg.OnOptimize == nil && !cfg.CaptureDear
 }
 
 // ForkStats summarizes one forked sweep's warmup sharing.

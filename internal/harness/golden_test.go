@@ -2,6 +2,7 @@ package harness
 
 import (
 	"flag"
+	"sync"
 	"testing"
 
 	"repro/internal/compiler"
@@ -13,6 +14,32 @@ var updateGolden = flag.Bool("update-golden", false,
 	"regenerate testdata/golden/corpus.json instead of comparing against it")
 
 const goldenPath = "testdata/golden/corpus.json"
+
+// goldenO2 is the golden-scale Fig. 7(a) O2 sweep on an explicit 4-worker
+// engine, computed once: TestGoldenCorpus pins it against the corpus and
+// runs its other sweeps on the same engine, and
+// TestFig7SerialParallelIdentical is its serial counterpart.
+var goldenO2 struct {
+	once sync.Once
+	cfg  ExpConfig
+	res  *Fig7Result
+	err  error
+}
+
+// goldenFig7O2 returns the shared sweep and the configuration, engine
+// included, that ran it.
+func goldenFig7O2(t *testing.T) (ExpConfig, *Fig7Result) {
+	t.Helper()
+	goldenO2.once.Do(func() {
+		goldenO2.cfg = GoldenExpConfig()
+		goldenO2.cfg.Engine = NewEngine(EngineConfig{Parallelism: 4})
+		goldenO2.res, goldenO2.err = RunFig7(goldenO2.cfg, compiler.O2)
+	})
+	if goldenO2.err != nil {
+		t.Fatal(goldenO2.err)
+	}
+	return goldenO2.cfg, goldenO2.res
+}
 
 // TestGoldenCorpus re-runs every pinned sweep at the corpus scale and
 // compares against the checked-in baseline. Run with -update-golden after
@@ -41,11 +68,7 @@ func TestGoldenCorpus(t *testing.T) {
 			g.Scale, cfg.Scale)
 	}
 
-	cfg.Engine = NewEngine(EngineConfig{})
-	o2, err := RunFig7(cfg, compiler.O2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg, o2 := goldenFig7O2(t)
 	o3, err := RunFig7(cfg, compiler.O3)
 	if err != nil {
 		t.Fatal(err)

@@ -107,8 +107,9 @@ func TestResultCacheHoldsRecords(t *testing.T) {
 	adore.Profile = 997
 	adore.RecordSeries = true
 	profiled := DefaultRunConfig()
+	profiled.ADORE = true
 	profiled.Core = adore.Core
-	profiled.SampleOnly = true
+	profiled.Core.DisableInsertion = true
 	profiled.CaptureDear = true
 	profiled.RecordSeries = true
 	jobs := []Job{
@@ -160,8 +161,8 @@ func TestResultCacheHoldsRecords(t *testing.T) {
 	if r := first[1]; r.Core == nil || r.Obs == nil || r.CPIStack == nil || r.Profile == nil || len(r.Series) == 0 {
 		t.Error("ADORE record lost an output: core stats, events, CPI stack, profile or series")
 	}
-	if len(first[2].DearEvents) == 0 {
-		t.Error("profiled record lost its DEAR events")
+	if r := first[2]; len(r.DearEvents) == 0 || len(r.Series) == 0 || r.Core == nil || r.Core.TracesPatched != 0 {
+		t.Error("profiled (monitor) record lost its DEAR events, series or core stats, or patched")
 	}
 	if first[1].CPU != direct.CPU || first[1].Mem != direct.Mem {
 		t.Error("the cached record's counters differ from a direct run of the same build")

@@ -29,17 +29,11 @@ type RunConfig struct {
 	CPU          cpu.Config
 	Hierarchy    memsys.HierarchyConfig
 	MaxInsts     uint64 // safety stop; 0 = default
-	RecordSeries bool   // collect per-window CPI/DPI series (Figs. 8-9)
-
-	// SampleOnly attaches the PMU and series recorder without ADORE —
-	// the "No Runtime Prefetching" side of Figs. 8-9 still shows PMU
-	// metrics over time.
-	SampleOnly bool
+	RecordSeries bool   // collect per-window CPI/DPI series (Figs. 8-9; ADORE runs)
 
 	// CaptureDear additionally collects every sampled DEAR event into
-	// RunResult.DearEvents, on a SampleOnly or an ADORE run. Table 1's
-	// training profile is the capture of Fig. 11's monitor run
-	// (ExpConfig.monitorConfig).
+	// RunResult.DearEvents on an ADORE run. Table 1's training profile is
+	// the capture of Fig. 11's monitor run (ExpConfig.monitorConfig).
 	CaptureDear bool
 
 	// OnOptimize, when set with ADORE, observes every trace
@@ -158,24 +152,6 @@ type RunResult struct {
 	Controller *core.Controller   `json:"-"`
 }
 
-// ProfiledRun is a training run carrying its miss profile.
-type ProfiledRun = RunResult
-
-// RunProfiled runs the workload with sampling only, capturing its DEAR
-// profile (adore-profile's view). Table 1 takes the same profile from
-// Fig. 11's monitor run instead, which simulates the same machine.
-func RunProfiled(build *compiler.BuildResult, cfg RunConfig) (*ProfiledRun, error) {
-	return RunProfiledContext(context.Background(), build, cfg)
-}
-
-// RunProfiledContext is RunProfiled with cancellation.
-func RunProfiledContext(ctx context.Context, build *compiler.BuildResult, cfg RunConfig) (*ProfiledRun, error) {
-	cfg.SampleOnly = true
-	cfg.ADORE = false
-	cfg.CaptureDear = true
-	return RunContext(ctx, build, cfg)
-}
-
 // Run executes a compiled workload under cfg.
 func Run(build *compiler.BuildResult, cfg RunConfig) (*RunResult, error) {
 	return RunContext(context.Background(), build, cfg)
@@ -240,8 +216,7 @@ func runImage(ctx context.Context, img *program.Image, cfg RunConfig, probe *for
 		cfg.CPU.Accounting = true
 	}
 	cfg.Core.Metrics = cfg.Metrics
-	needPMU := cfg.ADORE || cfg.SampleOnly
-	if needPMU {
+	if cfg.ADORE {
 		p = pmu.New(cfg.Core.Sampling)
 	}
 	m := cpu.New(cfg.CPU, code, mem, hier, p)
@@ -265,38 +240,25 @@ func runImage(ctx context.Context, img *program.Image, cfg RunConfig, probe *for
 		})
 	}
 
-	var capture func([]pmu.Sample)
-	if cfg.CaptureDear {
-		capture = func(s []pmu.Sample) {
-			for i := range s {
-				if d := s[i].DEAR; d.Valid {
-					res.DearEvents = append(res.DearEvents, DearEvent{PC: d.PC, Addr: d.Addr, Latency: d.Latency})
-				}
-			}
-		}
-	}
-
-	switch {
-	case cfg.ADORE:
+	if cfg.ADORE {
 		var err error
 		ctrl, err = core.NewController(cfg.Core, code, p)
 		if err != nil {
 			return nil, err
 		}
 		ctrl.OnWindow = record
-		ctrl.OnSamples = capture
+		if cfg.CaptureDear {
+			ctrl.OnSamples = func(s []pmu.Sample) {
+				for i := range s {
+					if d := s[i].DEAR; d.Valid {
+						res.DearEvents = append(res.DearEvents, DearEvent{PC: d.PC, Addr: d.Addr, Latency: d.Latency})
+					}
+				}
+			}
+		}
 		ctrl.OnOptimize = cfg.OnOptimize
 		ctrl.SetImage(img)
 		ctrl.Attach(m)
-	case cfg.SampleOnly:
-		ueb := core.NewUEB(cfg.Core.W)
-		p.SetHandler(func(s []pmu.Sample) {
-			if capture != nil {
-				capture(s)
-			}
-			record(ueb.AddWindow(s))
-		})
-		p.Start(0)
 	}
 
 	if probe != nil {

@@ -206,9 +206,11 @@ func TestSemanticsPreservedUnderADORE(t *testing.T) {
 
 func TestSeriesRecording(t *testing.T) {
 	b := buildO2(t, streamKernel(1<<15, 8))
+	// A monitor run: the series comes from PMU sampling alone.
 	cfg := DefaultRunConfig()
-	cfg.SampleOnly = true
+	cfg.ADORE = true
 	cfg.Core = fastCore()
+	cfg.Core.DisableInsertion = true
 	cfg.RecordSeries = true
 	r, err := Run(b, cfg)
 	if err != nil {

@@ -16,11 +16,11 @@ import (
 	"repro/internal/workloads"
 )
 
-// TestProfiledRunNonPerturbing is the PR's bit-identity acceptance test at
-// the harness level: a run with the cycle-sampling profiler (and a live
+// TestCycleProfilerNonPerturbing is the cycle profiler's bit-identity test
+// at the harness level: a run with the cycle-sampling profiler (and a live
 // metric registry) attached must produce exactly the same simulated results
 // as a bare run — only the result shape changes (RunResult.Profile).
-func TestProfiledRunNonPerturbing(t *testing.T) {
+func TestCycleProfilerNonPerturbing(t *testing.T) {
 	build := obsBuild(t, "art", 0.1)
 
 	plain := DefaultRunConfig()

@@ -9,7 +9,7 @@ import (
 // per profile window (cycle, CPI, DPI, CPI-stack shares, prefetch deltas)
 // with the controller's actions — phase events, trace selections, patches,
 // rejections — interleaved at the window positions where they happened.
-// This is the `-timeline` view of cmd/adore-profile.
+// This is the `-timeline` view of cmd/adore-run.
 func Timeline(c *Capture) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "timeline of %s: %d events", c.Meta.Program, len(c.Events))
