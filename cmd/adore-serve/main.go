@@ -1,10 +1,9 @@
 // adore-serve runs the simulator as a long-lived service: the experiment
-// engine behind an HTTP/JSON API, with a sharded response cache.
+// engine behind an HTTP/JSON API, with a response cache.
 //
 // Usage:
 //
-//	adore-serve [-addr :8124] [-j 0] [-shards 8] [-shard-cap 128]
-//	            [-result-cap 1024] [-grace 30s]
+//	adore-serve [-addr :8124] [-j 0] [-grace 30s]
 //
 // Endpoints:
 //
@@ -15,14 +14,15 @@
 //	GET  /healthz       liveness
 //	GET  /debug/pprof/  the Go runtime's profiler, for the service itself
 //
-// Responses are cached by request fingerprint in a sharded bounded-LRU
-// cache; a hit is byte-identical to the cold response, with the
-// disposition in the X-Adore-Cache header. Concurrent identical requests
-// share one simulation, which runs until the last of their clients
-// disconnects. All requests share the engine's worker pool, so at most
-// -j simulations run at once. SIGTERM/SIGINT drain
-// gracefully: in-flight requests get -grace to finish, and a clean drain
-// exits 0 (so supervisors and CI can tell a graceful stop from a crash).
+// Responses are cached by request fingerprint in one LRU cache of at most
+// 1024 bodies, the only copy the service keeps of an answer; a hit is
+// byte-identical to the cold response, with the disposition in the
+// X-Adore-Cache header. Concurrent identical requests share one
+// simulation, which runs until the last of their clients disconnects. All
+// requests share the engine's worker pool, so at most -j simulations run
+// at once. SIGTERM/SIGINT drain gracefully: in-flight requests get
+// -grace to finish, and a clean drain exits 0 (so supervisors and CI can
+// tell a graceful stop from a crash).
 // See DESIGN.md §17.
 package main
 
@@ -40,25 +40,16 @@ import (
 func main() {
 	addr := flag.String("addr", ":8124", "listen address")
 	jobs := flag.Int("j", 0, "engine worker-pool width (0 = one per core)")
-	shards := flag.Int("shards", 8, "response-cache shard count (rounded up to a power of two)")
-	shardCap := flag.Int("shard-cap", 128, "max completed responses per shard (LRU eviction past it)")
 	grace := flag.Duration("grace", 30*time.Second, "shutdown grace for in-flight requests")
-	resultCap := flag.Int("result-cap", 1024, "engine result-cache bound (entries)")
 	flag.Parse()
 
 	ln, err := net.Listen("tcp", *addr)
 	cli.Fatal(err)
 
-	srv := serve.New(serve.Config{
-		Parallelism:     *jobs,
-		Shards:          *shards,
-		ShardCap:        *shardCap,
-		EngineResultCap: *resultCap,
-	})
+	srv := serve.New(serve.Config{Parallelism: *jobs})
 
 	ctx := cli.Context()
-	fmt.Fprintf(os.Stderr, "adore-serve: listening on http://%s (%d shards, cap %d)\n",
-		ln.Addr(), srv.Cache().Shards(), *shardCap)
+	fmt.Fprintf(os.Stderr, "adore-serve: listening on http://%s\n", ln.Addr())
 
 	// A graceful SIGTERM drain is a SUCCESS for a server (unlike an
 	// interrupted batch sweep), so a clean ListenAndServe return exits 0

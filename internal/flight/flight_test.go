@@ -353,7 +353,9 @@ func TestCacheInFlightNotEvicted(t *testing.T) {
 
 // TestCacheLRUEviction: a full cache evicts exactly the least recently
 // used completed key, checked against a reference model over seeded
-// request sequences, with every counter and metric mirror exact.
+// request sequences, with every counter and metric mirror exact. The
+// model predicts which requests run their fill, so a wrong victim shows
+// as a wrong fill count whatever Do reports as shared.
 func TestCacheLRUEviction(t *testing.T) {
 	for _, capacity := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("cap=%d", capacity), func(t *testing.T) {
@@ -368,10 +370,14 @@ func TestCacheLRUEviction(t *testing.T) {
 			keys := []string{"a", "b", "c", "d", "e", "f", "g"}
 			var model []string // least recently used first
 			var want Stats
+			var fills uint64
 			rng := rand.New(rand.NewSource(int64(capacity)))
 			for step := 0; step < 400; step++ {
 				k := keys[rng.Intn(len(keys))]
-				v, sh, err := c.Do(context.Background(), k, value("v-"+k))
+				v, sh, err := c.Do(context.Background(), k, func(context.Context) (string, error) {
+					fills++
+					return "v-" + k, nil
+				})
 				if err != nil || v != "v-"+k {
 					t.Fatalf("step %d (%s): %q err=%v", step, k, v, err)
 				}
@@ -389,6 +395,9 @@ func TestCacheLRUEviction(t *testing.T) {
 				if len(model) > capacity {
 					model = model[1:]
 					want.Evictions++
+				}
+				if fills != want.Misses {
+					t.Fatalf("step %d (%s): %d fills ran, want %d (model %v)", step, k, fills, want.Misses, model)
 				}
 				if n := c.Len(); n != len(model) {
 					t.Fatalf("step %d: %d entries, want %d", step, n, len(model))

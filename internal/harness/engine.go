@@ -49,11 +49,11 @@ type EngineConfig struct {
 	// the engine unmetered at no cost.
 	Metrics *metrics.Registry
 
-	// ResultCacheCap bounds the engine's result cache to this many
-	// completed runs (LRU eviction past it). Zero keeps the cache
-	// unbounded — right for one-shot sweeps, wrong for a long-lived
-	// service, which is why adore-serve always sets it.
-	ResultCacheCap int
+	// NoResultCache runs the engine without a result cache: hook-free
+	// jobs simulate directly, like hooked ones. adore-serve sets it,
+	// because its response cache already keeps every answer; one-shot
+	// sweeps keep the cache, which shares runs between experiments.
+	NoResultCache bool
 }
 
 // Engine runs experiment jobs on a worker pool with shared build and
@@ -69,7 +69,7 @@ type Engine struct {
 	cfg     EngineConfig
 	slots   chan struct{} // one token per busy worker, Parallelism() wide
 	cache   *BuildCache
-	results *ResultCache
+	results *ResultCache // nil under NoResultCache
 	metrics engineMetrics
 	drops   dropCounts
 }
@@ -79,7 +79,7 @@ type Engine struct {
 // Fig. 11 all compile the same O2 kernels, and Table 2 re-runs Fig. 7's
 // exact machine configurations.
 func NewEngine(cfg EngineConfig) *Engine {
-	e := &Engine{cfg: cfg, cache: NewBuildCache(), results: NewResultCacheBounded(cfg.ResultCacheCap)}
+	e := &Engine{cfg: cfg, cache: NewBuildCache()}
 	e.slots = make(chan struct{}, e.Parallelism())
 	e.metrics = newEngineMetrics(cfg.Metrics)
 	e.metrics.workers.Set(int64(e.Parallelism()))
@@ -87,9 +87,12 @@ func NewEngine(cfg EngineConfig) *Engine {
 	e.cache.SetMetrics(
 		r.Counter("adore_engine_build_cache_hits_total", "compiles served by the build cache"),
 		r.Counter("adore_engine_build_cache_misses_total", "actual compiles"))
-	e.results.SetMetrics(
-		r.Counter("adore_engine_result_cache_hits_total", "runs served by the result cache"),
-		r.Counter("adore_engine_result_cache_misses_total", "actual simulations"))
+	if !cfg.NoResultCache {
+		e.results = NewResultCache()
+		e.results.SetMetrics(
+			r.Counter("adore_engine_result_cache_hits_total", "runs served by the result cache"),
+			r.Counter("adore_engine_result_cache_misses_total", "actual simulations"))
+	}
 	return e
 }
 
@@ -104,8 +107,19 @@ func (e *Engine) Parallelism() int {
 // Cache exposes the engine's shared build cache (for its hit counters).
 func (e *Engine) Cache() *BuildCache { return e.cache }
 
-// Results exposes the engine's shared result cache (for its hit counters).
+// Results exposes the engine's shared result cache (for its hit
+// counters); nil under NoResultCache.
 func (e *Engine) Results() *ResultCache { return e.results }
+
+// simulate runs build under cfg through the result cache, which keys it
+// by compileKey and cfg's fingerprint, or directly on an engine without
+// one.
+func (e *Engine) simulate(ctx context.Context, compileKey string, build *compiler.BuildResult, cfg RunConfig) (*RunResult, error) {
+	if e.results == nil {
+		return RunContext(ctx, build, cfg)
+	}
+	return e.results.Run(ctx, compileKey, build, cfg)
+}
 
 func (e *Engine) report(p Progress) {
 	if e.cfg.OnProgress != nil {
@@ -220,8 +234,8 @@ func (e *Engine) RunJobs(ctx context.Context, sweep string, jobs []Job) ([]*RunR
 // reports, Metrics defaulting, the build, latency/busy time, the result
 // fold and the done report. sim, when non-nil, simulates the job in place
 // of the default dispatch — the fork engine's probes and continuations.
-// The default sends a hook-free job through the result cache and a hooked
-// one straight to RunContext.
+// The default sends a hook-free job to simulate and a hooked one straight
+// to RunContext.
 func (e *Engine) runJob(ctx context.Context, sweep string, sweepStart time.Time, jobs []Job, i int,
 	sim func(context.Context, *compiler.BuildResult, RunConfig) (*RunResult, error)) (*RunResult, error) {
 	j := &jobs[i]
@@ -244,11 +258,12 @@ func (e *Engine) runJob(ctx context.Context, sweep string, sweepStart time.Time,
 			res, err = sim(ctx, build, cfg)
 		case cfg.OnOptimize == nil:
 			// Hermetic, hook-free job: identical (build, config) pairs
-			// share one simulation through the result cache. The key
-			// includes the run fingerprint, so two configs differing in
-			// anything observable — notably the prefetch policy — can
-			// never alias.
-			res, err = e.results.Run(ctx, j.Compile.Key(), build, cfg)
+			// share one simulation through the result cache, on an
+			// engine that has one. The key includes the run
+			// fingerprint, so two configs differing in anything
+			// observable — notably the prefetch policy — can never
+			// alias.
+			res, err = e.simulate(ctx, j.Compile.Key(), build, cfg)
 		default:
 			res, err = RunContext(ctx, build, cfg)
 		}
@@ -272,8 +287,8 @@ func (e *Engine) runJob(ctx context.Context, sweep string, sweepStart time.Time,
 
 // RunJob schedules one job — the unit the serve front door submits per
 // request — and returns its result. Identical to RunJobs with a
-// single-element slice: the job shares the engine's build and result
-// caches and its metrics with every other request in flight.
+// single-element slice: the job shares the engine's caches and its
+// metrics with every other request in flight.
 func (e *Engine) RunJob(ctx context.Context, sweep string, job Job) (*RunResult, error) {
 	out, err := e.RunJobs(ctx, sweep, []Job{job})
 	if err != nil {
@@ -291,15 +306,24 @@ func (e *Engine) RunJob(ctx context.Context, sweep string, job Job) (*RunResult,
 // compiler.Kernel.DataKey) — the O2, O3 and profile-filtered O3 builds of
 // one benchmark — share one sealed initial-data heap: each later build's
 // image forks the first one's (program.Image.ShareData).
+//
+// The cache holds at most buildCacheCap builds, evicting the least
+// recently used beyond it, so a long-lived process that compiles every
+// scale it is asked for stays bounded. A rebuilt key shares its kernel's
+// heap again: the heap is kept per DataKey, which is independent of scale.
 type BuildCache struct {
 	flight *flight.Cache[*compiler.BuildResult]
 	mu     sync.Mutex
 	data   map[string]*program.Image // first successful image per DataKey
 }
 
+// buildCacheCap bounds the build cache. One engine's paper sweeps compile
+// at most 51 builds (17 benchmarks at O2, O3 and profile-filtered O3).
+const buildCacheCap = 256
+
 // NewBuildCache returns an empty cache.
 func NewBuildCache() *BuildCache {
-	return &BuildCache{flight: flight.New[*compiler.BuildResult](0), data: map[string]*program.Image{}}
+	return &BuildCache{flight: flight.New[*compiler.BuildResult](buildCacheCap), data: map[string]*program.Image{}}
 }
 
 // SetMetrics mirrors the cache's hit/miss counters onto live metric
@@ -349,28 +373,14 @@ func (c *BuildCache) Stats() (hits, misses uint64) {
 // hook-carrying runs, which need the machine, go through RunContext
 // directly.
 //
-// An optional capacity (NewResultCacheBounded) bounds the completed
-// entries, evicting the least recently used beyond it — what a long-lived
-// process (adore-serve) needs, since the unbounded form grows forever
-// under a diverse query mix.
+// The cache is unbounded: it lives as long as one process's sweeps. A
+// long-lived service runs its engine without one (NoResultCache).
 type ResultCache struct {
 	flight *flight.Cache[*RunResult]
-
-	// runFn performs the simulation; tests substitute a controllable
-	// runner to pin the single-flight edge cases (stranded waiters,
-	// panicking runners) without real workloads.
-	runFn func(context.Context, *compiler.BuildResult, RunConfig) (*RunResult, error)
 }
 
-// NewResultCache returns an empty, unbounded cache.
-func NewResultCache() *ResultCache { return NewResultCacheBounded(0) }
-
-// NewResultCacheBounded returns an empty cache holding at most capacity
-// completed results, evicting least-recently-touched entries beyond it.
-// A capacity <= 0 is unbounded.
-func NewResultCacheBounded(capacity int) *ResultCache {
-	return &ResultCache{flight: flight.New[*RunResult](capacity), runFn: RunContext}
-}
+// NewResultCache returns an empty cache.
+func NewResultCache() *ResultCache { return &ResultCache{flight: flight.New[*RunResult](0)} }
 
 // SetMetrics mirrors the cache's hit/miss counters onto live metric
 // counters (nil instruments are valid and free). Call before use.
@@ -386,7 +396,7 @@ func (c *ResultCache) SetMetrics(hits, misses *metrics.Counter) {
 // instead of replaying a stale context error.
 func (c *ResultCache) Run(ctx context.Context, compileKey string, build *compiler.BuildResult, cfg RunConfig) (*RunResult, error) {
 	res, _, err := c.flight.Do(ctx, compileKey+"|"+cfg.Fingerprint(), func(ctx context.Context) (*RunResult, error) {
-		res, err := c.runFn(ctx, build, cfg)
+		res, err := RunContext(ctx, build, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -402,9 +412,6 @@ func (c *ResultCache) Stats() (hits, misses uint64) {
 	s := c.flight.Stats()
 	return s.Hits, s.Misses
 }
-
-// Evictions reports how many completed results the bounded mode dropped.
-func (c *ResultCache) Evictions() uint64 { return c.flight.Stats().Evictions }
 
 // Len reports the number of cached (and in-flight) entries.
 func (c *ResultCache) Len() int { return c.flight.Len() }

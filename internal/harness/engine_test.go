@@ -65,22 +65,15 @@ func TestEngineMapHonorsParentCancellation(t *testing.T) {
 }
 
 // TestEngineSlotsBoundConcurrentSweeps: more concurrent sweeps than the
-// engine is wide, each a distinct result-cache miss, never run more
-// simulations at once than Parallelism — the bound adore-serve relies on
-// when more clients miss at once than it has workers.
+// engine is wide, each a distinct simulation, never run more simulations
+// at once than Parallelism — the bound adore-serve relies on when more
+// clients miss at once than it has workers. Each sweep's run holds its
+// slot in its first OnOptimize hook until the test releases them all.
 func TestEngineSlotsBoundConcurrentSweeps(t *testing.T) {
 	const width, sweeps = 2, 8
 	e := NewEngine(EngineConfig{Parallelism: width})
-	var running, peak, arrived atomic.Int64
+	var running, peak, arrived, hooked atomic.Int64
 	release := make(chan struct{})
-	e.results.runFn = func(context.Context, *compiler.BuildResult, RunConfig) (*RunResult, error) {
-		n := running.Add(1)
-		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
-		}
-		<-release
-		running.Add(-1)
-		return &RunResult{Name: "stub"}, nil
-	}
 	b, err := workloads.ByName("mcf", 0.02)
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +82,19 @@ func TestEngineSlotsBoundConcurrentSweeps(t *testing.T) {
 	errs := make(chan error, sweeps)
 	for i := 0; i < sweeps; i++ {
 		cfg := DefaultRunConfig()
-		cfg.MaxInsts -= uint64(i) // a distinct fingerprint, so every sweep misses
+		cfg.ADORE = true
+		cfg.MaxInsts -= uint64(i) // a distinct fingerprint per sweep
+		var first sync.Once
+		cfg.OnOptimize = func(uint64, *core.Trace, []core.DelinquentLoad, core.OptimizeResult) {
+			first.Do(func() {
+				hooked.Add(1)
+				n := running.Add(1)
+				for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+				}
+				<-release
+				running.Add(-1)
+			})
+		}
 		go func() {
 			arrived.Add(1)
 			_, err := e.RunJob(context.Background(), "sweep", Job{Name: "mcf", Compile: sp, Config: cfg})
@@ -112,8 +117,8 @@ func TestEngineSlotsBoundConcurrentSweeps(t *testing.T) {
 	if p := peak.Load(); p != width {
 		t.Fatalf("%d simulations ran at once on an engine %d wide", p, width)
 	}
-	if _, misses := e.Results().Stats(); misses != sweeps {
-		t.Fatalf("result-cache misses = %d, want %d", misses, sweeps)
+	if n := hooked.Load(); n != sweeps {
+		t.Fatalf("%d of %d sweeps reached their hook", n, sweeps)
 	}
 }
 
@@ -331,46 +336,74 @@ func TestRunContextCancelMidRun(t *testing.T) {
 	}
 }
 
-// TestResultCacheWaiterNotStranded is the regression test for the serve
-// hardening PR: a sweep whose first runner is canceled must not strand a
-// concurrent second waiter on a ready channel that never closes (or that
-// closes only when the stuck runner eventually dies). The waiter blocks on
-// the in-flight run OR its own context, and a retry after the canceled
-// first runner re-runs instead of replaying the stale error.
+// adoreRun returns an mcf@0.02 build and a maker of ADORE configs whose
+// every optimization calls hook, so a test can hold or kill a real
+// simulation inside a ResultCache. The hook is not part of the
+// fingerprint, so every config it makes shares one cache entry.
+func adoreRun(t *testing.T) (*compiler.BuildResult, func(hook func()) RunConfig) {
+	t.Helper()
+	b, err := workloads.ByName("mcf", 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build, err := compiler.Build(b.Kernel, compiler.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return build, func(hook func()) RunConfig {
+		cfg := DefaultRunConfig()
+		cfg.ADORE = true
+		if hook != nil {
+			cfg.OnOptimize = func(uint64, *core.Trace, []core.DelinquentLoad, core.OptimizeResult) { hook() }
+		}
+		return cfg
+	}
+}
+
+// TestResultCacheWaiterNotStranded: a sweep whose first runner is
+// canceled must not strand a concurrent second waiter on a run that never
+// finishes. The waiter blocks on the in-flight run OR its own context,
+// and a retry after the canceled first runner re-runs instead of
+// replaying the stale error.
 func TestResultCacheWaiterNotStranded(t *testing.T) {
+	build, config := adoreRun(t)
+	direct, err := RunContext(context.Background(), build, config(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
 	c := NewResultCache()
-	block := make(chan struct{})
-	started := make(chan struct{}, 1)
-	c.runFn = func(ctx context.Context, _ *compiler.BuildResult, _ RunConfig) (*RunResult, error) {
-		started <- struct{}{}
+	block, started := make(chan struct{}), make(chan struct{})
+	var first sync.Once
+
+	// First runner: holds the in-flight run until its context fires.
+	ctxA, cancelA := context.WithCancel(context.Background())
+	defer cancelA()
+	hold := config(func() {
+		first.Do(func() { close(started) })
 		select {
 		case <-block:
-			return &RunResult{Name: "stub"}, nil
-		case <-ctx.Done():
-			return nil, ctx.Err()
+		case <-ctxA.Done():
 		}
-	}
-	cfg := DefaultRunConfig()
-
-	// First runner: holds the in-flight entry until its context fires.
-	ctxA, cancelA := context.WithCancel(context.Background())
+	})
 	errA := make(chan error, 1)
 	go func() {
-		_, err := c.Run(ctxA, "k", nil, cfg)
+		_, err := c.Run(ctxA, "k", build, hold)
 		errA <- err
 	}()
 	<-started
 
-	// Second waiter with its own live context: joins the in-flight entry.
+	// Second waiter with its own live context: joins the in-flight run.
 	// Canceling ITS context must release it promptly even though the first
 	// runner is still stuck.
 	ctxB, cancelB := context.WithCancel(context.Background())
 	errB := make(chan error, 1)
 	go func() {
-		_, err := c.Run(ctxB, "k", nil, cfg)
+		_, err := c.Run(ctxB, "k", build, config(nil))
 		errB <- err
 	}()
-	time.Sleep(5 * time.Millisecond) // let B reach the wait
+	for hits, _ := c.Stats(); hits == 0; hits, _ = c.Stats() {
+		runtime.Gosched() // let B join the run
+	}
 	cancelB()
 	select {
 	case err := <-errB:
@@ -381,15 +414,15 @@ func TestResultCacheWaiterNotStranded(t *testing.T) {
 		t.Fatal("second waiter stranded on a canceled context")
 	}
 
-	// Cancel the first runner: its error evicts the entry...
+	// Cancel the first runner: the run dies with its last waiter...
 	cancelA()
 	if err := <-errA; !errors.Is(err, context.Canceled) {
 		t.Fatalf("runner err = %v, want context.Canceled", err)
 	}
 	// ...so a retried sweep re-runs and succeeds.
 	close(block)
-	res, err := c.Run(context.Background(), "k", nil, cfg)
-	if err != nil || res == nil || res.Name != "stub" {
+	res, err := c.Run(context.Background(), "k", build, config(nil))
+	if err != nil || res == nil || res.CPU != direct.CPU {
 		t.Fatalf("retry after canceled runner: res=%v err=%v", res, err)
 	}
 	if hits, misses := c.Stats(); misses != 2 {
@@ -399,24 +432,28 @@ func TestResultCacheWaiterNotStranded(t *testing.T) {
 
 // TestResultCacheJoinerOutlivesFirstCaller: the sweep that started a run
 // is canceled after a second sweep joined it. The run belongs to both, so
-// it goes on, the second sweep gets the record, and the runner never sees
+// it goes on, the second sweep gets the record, and the run never sees
 // the first sweep's cancellation.
 func TestResultCacheJoinerOutlivesFirstCaller(t *testing.T) {
+	build, config := adoreRun(t)
+	direct, err := RunContext(context.Background(), build, config(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
 	c := NewResultCache()
 	started, release := make(chan struct{}), make(chan struct{})
-	c.runFn = func(ctx context.Context, _ *compiler.BuildResult, _ RunConfig) (*RunResult, error) {
-		close(started)
-		<-release
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return &RunResult{Name: "stub"}, nil
-	}
-	cfg := DefaultRunConfig()
+	var first sync.Once
+	hold := config(func() {
+		first.Do(func() {
+			close(started)
+			<-release
+		})
+	})
 	ctxA, cancelA := context.WithCancel(context.Background())
+	defer cancelA()
 	errA := make(chan error, 1)
 	go func() {
-		_, err := c.Run(ctxA, "k", nil, cfg)
+		_, err := c.Run(ctxA, "k", build, hold)
 		errA <- err
 	}()
 	<-started
@@ -426,7 +463,7 @@ func TestResultCacheJoinerOutlivesFirstCaller(t *testing.T) {
 	}
 	second := make(chan outcome, 1)
 	go func() {
-		res, err := c.Run(context.Background(), "k", nil, cfg)
+		res, err := c.Run(context.Background(), "k", build, config(nil))
 		second <- outcome{res, err}
 	}()
 	for hits, _ := c.Stats(); hits == 0; hits, _ = c.Stats() {
@@ -434,7 +471,7 @@ func TestResultCacheJoinerOutlivesFirstCaller(t *testing.T) {
 	}
 	cancelA()
 	close(release)
-	if got := <-second; got.err != nil || got.res == nil || got.res.Name != "stub" {
+	if got := <-second; got.err != nil || got.res == nil || got.res.CPU != direct.CPU {
 		t.Fatalf("second sweep: res=%v err=%v, want the shared record", got.res, got.err)
 	}
 	if err := <-errA; err != nil {
@@ -442,73 +479,32 @@ func TestResultCacheJoinerOutlivesFirstCaller(t *testing.T) {
 	}
 }
 
-// TestResultCachePanicReleasesWaiters: a panicking runner must evict its
-// entry and close the ready channel before the panic unwinds, so waiters
-// see an error instead of stranding forever.
+// TestResultCachePanicReleasesWaiters: a run that panics must release
+// its waiters with an error and leave no entry, so they never strand.
 func TestResultCachePanicReleasesWaiters(t *testing.T) {
+	build, config := adoreRun(t)
 	c := NewResultCache()
 	entered := make(chan struct{})
-	c.runFn = func(context.Context, *compiler.BuildResult, RunConfig) (*RunResult, error) {
+	recovered := make(chan any, 1)
+	die := config(func() {
 		close(entered)
-		time.Sleep(5 * time.Millisecond) // let the waiter join first
+		for hits, _ := c.Stats(); hits == 0; hits, _ = c.Stats() {
+			runtime.Gosched() // let the waiter join first
+		}
 		panic("runner died")
-	}
-	cfg := DefaultRunConfig()
+	})
 	go func() {
-		defer func() { recover() }()
-		c.Run(context.Background(), "k", nil, cfg)
+		defer func() { recovered <- recover() }()
+		c.Run(context.Background(), "k", build, die)
 	}()
 	<-entered
-	_, err := c.Run(context.Background(), "k", nil, cfg)
-	if err == nil {
+	if _, err := c.Run(context.Background(), "k", build, config(nil)); err == nil {
 		t.Fatal("waiter of a panicked runner returned a nil error")
 	}
-	// The entry was evicted, so a retry runs fresh (and panics again here,
-	// but through its own call — prove the eviction only).
+	if p := <-recovered; p != "runner died" {
+		t.Fatalf("runner recovered %v, want the run's panic", p)
+	}
 	if n := c.Len(); n != 0 {
 		t.Fatalf("cache holds %d entries after a panicked runner, want 0", n)
-	}
-}
-
-// TestResultCacheBoundedLRU pins the bounded mode: least-recently-touched
-// completed entries are evicted past capacity, touching refreshes recency,
-// and the eviction counter is exact.
-func TestResultCacheBoundedLRU(t *testing.T) {
-	c := NewResultCacheBounded(2)
-	var runs atomic.Int64
-	c.runFn = func(_ context.Context, _ *compiler.BuildResult, _ RunConfig) (*RunResult, error) {
-		runs.Add(1)
-		return &RunResult{Name: "stub"}, nil
-	}
-	cfg := DefaultRunConfig()
-	ctx := context.Background()
-	must := func(key string) {
-		t.Helper()
-		if _, err := c.Run(ctx, key, nil, cfg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	must("a")
-	must("b")
-	must("c") // evicts a
-	if got := c.Evictions(); got != 1 {
-		t.Fatalf("evictions = %d, want 1", got)
-	}
-	must("b") // hit; refreshes b over c
-	must("d") // evicts c (b was touched)
-	if got := c.Evictions(); got != 2 {
-		t.Fatalf("evictions = %d, want 2", got)
-	}
-	must("b") // still cached
-	must("a") // was evicted: re-runs, evicts d
-	if got := runs.Load(); got != 5 {
-		t.Fatalf("runs = %d, want 5 (a b c d + re-run of a)", got)
-	}
-	hits, misses := c.Stats()
-	if hits != 2 || misses != 5 {
-		t.Fatalf("stats = %d hits / %d misses, want 2/5", hits, misses)
-	}
-	if n := c.Len(); n != 2 {
-		t.Fatalf("cache holds %d entries, want capacity 2", n)
 	}
 }

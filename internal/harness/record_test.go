@@ -2,7 +2,6 @@ package harness
 
 import (
 	"context"
-	"math/rand"
 	"reflect"
 	"slices"
 	"sync/atomic"
@@ -169,51 +168,6 @@ func TestResultCacheHoldsRecords(t *testing.T) {
 	}
 }
 
-// TestResultCacheLRUOrder: after any mix of fills and touches, a full
-// cache evicts exactly the least-recently-touched key — checked against a
-// reference model over a seeded sequence of requests: the model predicts
-// which requests re-run, so a wrong victim shows as a wrong miss.
-func TestResultCacheLRUOrder(t *testing.T) {
-	const capacity = 4
-	c := NewResultCacheBounded(capacity)
-	var runs int
-	c.runFn = func(context.Context, *compiler.BuildResult, RunConfig) (*RunResult, error) {
-		runs++
-		return &RunResult{Name: "stub"}, nil
-	}
-	cfg := DefaultRunConfig()
-	keys := []string{"a", "b", "c", "d", "e", "f", "g"}
-	var model []string // least recently touched first
-	var wantRuns int
-	var wantEvictions uint64
-	rng := rand.New(rand.NewSource(1))
-	for step := 0; step < 400; step++ {
-		k := keys[rng.Intn(len(keys))]
-		if _, err := c.Run(context.Background(), k, nil, cfg); err != nil {
-			t.Fatal(err)
-		}
-		if i := slices.Index(model, k); i >= 0 {
-			model = slices.Delete(model, i, i+1)
-		} else {
-			wantRuns++
-		}
-		model = append(model, k)
-		if len(model) > capacity {
-			model = model[1:]
-			wantEvictions++
-		}
-		if runs != wantRuns {
-			t.Fatalf("step %d (%s): %d runs, want %d (model %v)", step, k, runs, wantRuns, model)
-		}
-		if n := c.Len(); n != len(model) {
-			t.Fatalf("step %d (%s): cache holds %d entries, want %d", step, k, n, len(model))
-		}
-	}
-	if got := c.Evictions(); got != wantEvictions {
-		t.Fatalf("evictions = %d, want %d", got, wantEvictions)
-	}
-}
-
 // TestBuildCacheSharesDataPerKernel: builds whose kernels declare the
 // same arrays hold one sealed data heap — InitData runs once across them,
 // through whichever build asks first — and a kernel with other arrays
@@ -271,5 +225,52 @@ func TestBuildCacheSharesDataPerKernel(t *testing.T) {
 	}
 	if _, _, _, ok := memsys.FirstDiff(fresh[0], fresh[4]); !ok {
 		t.Error("two benchmarks produced the same data; the non-sharing check is vacuous")
+	}
+}
+
+// TestBuildCacheBounded: compiling more distinct scales than the cache's
+// bound leaves at most the bound cached, and a key evicted on the way
+// recompiles on its next request and still forks its kernel's one sealed
+// data heap, which the cache keeps per kernel rather than per build.
+func TestBuildCacheBounded(t *testing.T) {
+	c := NewBuildCache()
+	build := func(i int) *compiler.BuildResult {
+		t.Helper()
+		scale := 0.01 + float64(i)/1e4
+		b, err := workloads.ByName("mcf", scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		br, err := c.Build(benchSpec(b, scale, compiler.O2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return br
+	}
+	first := build(0)
+	for i := 1; i <= buildCacheCap; i++ {
+		build(i)
+	}
+	if n := c.flight.Len(); n > buildCacheCap {
+		t.Fatalf("%d builds cached, bound %d", n, buildCacheCap)
+	}
+	_, missesBefore := c.Stats()
+	again := build(0)
+	if _, misses := c.Stats(); misses != missesBefore+1 || again == first {
+		t.Fatal("the least recently used build was not evicted: asking for it again did not recompile")
+	}
+	want := freshInit(again.Image)
+	var calls atomic.Int32
+	orig := again.Image.InitData
+	again.Image.InitData = func(m *memsys.Memory) {
+		calls.Add(1)
+		orig(m)
+	}
+	m := again.Image.NewMemory()
+	if n := calls.Load(); n != 0 {
+		t.Errorf("the recompiled build ran its own InitData %d times; it should fork the kernel's sealed heap", n)
+	}
+	if addr, got, w, ok := memsys.FirstDiff(m, want); ok {
+		t.Errorf("recompiled build's data memory differs from its own InitData at %#x: %#x vs %#x", addr, got, w)
 	}
 }

@@ -5,12 +5,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/flight"
 	"repro/internal/metrics"
 )
 
@@ -18,39 +20,114 @@ func fillWith(body string) func(context.Context) ([]byte, error) {
 	return func(context.Context) ([]byte, error) { return []byte(body), nil }
 }
 
-// TestShardForPrefix pins the fingerprint-prefix shard mapping: the
-// leading hex digits select the shard via the low mask bits.
-func TestShardForPrefix(t *testing.T) {
-	c := NewShardedCache(CacheConfig{Shards: 8, ShardCap: 4}, nil)
-	if got := c.Shards(); got != 8 {
-		t.Fatalf("Shards() = %d, want 8", got)
-	}
-	cases := map[string]int{
-		"00000000ffff": 0,
-		"00000005ffff": 5,
-		"0000000fffff": 7, // 0xf & 7
-		"deadbeef0000": int(0xdeadbeef & 7),
-	}
-	for key, want := range cases {
-		if got := c.ShardFor(key); got != want {
-			t.Errorf("ShardFor(%q) = %d, want %d", key, got, want)
+// TestCacheMetricsMirrorStats: the response cache's counters on the
+// server's registry equal its Stats. A real /run fills and hits it; a
+// fill held open gets a join; filling past the bound evicts.
+func TestCacheMetricsMirrorStats(t *testing.T) {
+	s, ts := testServer(t)
+	const body = `{"workload":"mcf","scale":0.02}`
+	for i := 0; i < 2; i++ {
+		if resp := post(t, ts.URL+"/run", body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("run %d: status %d: %s", i, resp.StatusCode, readAll(t, resp))
+		} else {
+			readAll(t, resp)
 		}
 	}
-	// Non-hex keys must still land somewhere in range (FNV fallback).
-	if got := c.ShardFor("zzz"); got < 0 || got >= 8 {
-		t.Errorf("ShardFor(non-hex) = %d, out of range", got)
+
+	c := s.Cache()
+	ctx := context.Background()
+	release := make(chan struct{})
+	filled := make(chan error, 1)
+	go func() {
+		_, _, err := c.Do(ctx, "held", func(context.Context) ([]byte, error) {
+			<-release
+			return []byte("held"), nil
+		})
+		filled <- err
+	}()
+	for c.Len() == 1 {
+		runtime.Gosched() // wait for the held fill to take its entry
 	}
-	// Shard count rounds up to a power of two.
-	if got := NewShardedCache(CacheConfig{Shards: 5}, nil).Shards(); got != 8 {
-		t.Errorf("Shards(5 requested) = %d, want 8", got)
+	joined := make(chan error, 1)
+	go func() {
+		_, _, err := c.Do(ctx, "held", func(context.Context) ([]byte, error) { return nil, nil })
+		joined <- err
+	}()
+	for c.Cache.Stats().Joins == 0 {
+		runtime.Gosched()
+	}
+	close(release)
+	for _, ch := range []chan error{filled, joined} {
+		if err := <-ch; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; c.Cache.Stats().Evictions < 2; i++ {
+		if _, _, err := c.Do(ctx, fmt.Sprint("churn-", i), func(context.Context) ([]byte, error) { return []byte("x"), nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	want := c.Cache.Stats()
+	if want.Hits == want.Joins || want.Joins == 0 || want.Misses == 0 {
+		t.Fatalf("stats %+v: the test should drive a plain hit, a join, misses and evictions", want)
+	}
+	reg := s.Registry()
+	got := flight.Stats{
+		Hits:      reg.Counter("adore_serve_cache_hits_total", "").Value(),
+		Joins:     reg.Counter("adore_serve_cache_joins_total", "").Value(),
+		Misses:    reg.Counter("adore_serve_cache_misses_total", "").Value(),
+		Evictions: reg.Counter("adore_serve_cache_evictions_total", "").Value(),
+	}
+	if got != want {
+		t.Fatalf("registry counters %+v, cache stats %+v", got, want)
+	}
+	if n := c.Len(); n != responseCacheCap {
+		t.Fatalf("cache holds %d bodies, bound %d", n, responseCacheCap)
 	}
 }
 
-// TestCacheLRUEviction pins eviction order and counter accuracy on one
-// shard: capacity 2, with a touch refreshing recency.
+// TestServerHoldsEachAnswerOnce: after distinct /run and /sweep requests
+// the response cache holds one body per request, and the engine's result
+// cache has seen no traffic and holds nothing.
+func TestServerHoldsEachAnswerOnce(t *testing.T) {
+	s, ts := testServer(t)
+	reqs := []struct{ path, body string }{
+		{"/run", `{"workload":"mcf","scale":0.02}`},
+		{"/run", `{"workload":"mcf","scale":0.02,"policy":"paper"}`},
+		{"/run", `{"workload":"art","scale":0.02,"opt":"O3"}`},
+		{"/sweep", `{"workload":"mcf","scale":0.02,"policies":["base","paper"]}`},
+	}
+	for _, r := range reqs {
+		resp := post(t, ts.URL+r.path, r.body)
+		if b := readAll(t, resp); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %s: status %d: %s", r.path, r.body, resp.StatusCode, b)
+		}
+	}
+	if n := s.Cache().Len(); n != len(reqs) {
+		t.Fatalf("response cache holds %d bodies after %d distinct requests", n, len(reqs))
+	}
+	if rc := s.eng.Results(); rc != nil {
+		if hits, misses := rc.Stats(); hits+misses != 0 || rc.Len() != 0 {
+			t.Fatalf("engine result cache saw %d hits / %d misses and holds %d runs", hits, misses, rc.Len())
+		}
+	}
+	reg := s.Registry()
+	for _, name := range []string{"adore_engine_result_cache_hits_total", "adore_engine_result_cache_misses_total"} {
+		if v := reg.Counter(name, "").Value(); v != 0 {
+			t.Errorf("%s = %d, want 0", name, v)
+		}
+	}
+	if v := reg.Counter("adore_engine_jobs_completed_total", "").Value(); v == 0 {
+		t.Error("no engine job completed; the requests did not simulate")
+	}
+}
+
+// TestCacheLRUEviction pins eviction order and counter accuracy at
+// capacity 2, with a touch refreshing recency.
 func TestCacheLRUEviction(t *testing.T) {
 	reg := metrics.NewRegistry()
-	c := NewShardedCache(CacheConfig{Shards: 1, ShardCap: 2}, reg)
+	c := newResponseCache(reg, 2)
 	ctx := context.Background()
 	runs := 0
 	do := func(key string) (string, bool) {
@@ -104,7 +181,7 @@ func TestCacheLRUEviction(t *testing.T) {
 func TestCacheSingleFlight(t *testing.T) {
 	reg := metrics.NewRegistry()
 	joins := reg.Counter("adore_serve_cache_joins_total", "")
-	c := NewShardedCache(CacheConfig{Shards: 2, ShardCap: 8}, reg)
+	c := newResponseCache(reg, 8)
 	ctx := context.Background()
 	var mu sync.Mutex
 	runs := 0
@@ -153,7 +230,7 @@ func TestCacheSingleFlight(t *testing.T) {
 // own context fires while the fill is stuck returns promptly, and a
 // failed fill is evicted so a retry re-runs.
 func TestCacheWaiterContext(t *testing.T) {
-	c := NewShardedCache(CacheConfig{Shards: 1, ShardCap: 4}, nil)
+	c := newResponseCache(nil, 4)
 	block := make(chan struct{})
 	fillErr := errors.New("boom")
 
@@ -204,7 +281,7 @@ func TestCacheWaiterContext(t *testing.T) {
 // TestCachePanicReleasesWaiters pins the panic path: a panicking fill
 // hands its waiters an error instead of a hang, and leaves no entry.
 func TestCachePanicReleasesWaiters(t *testing.T) {
-	c := NewShardedCache(CacheConfig{Shards: 1, ShardCap: 4}, nil)
+	c := newResponseCache(nil, 4)
 	started := make(chan struct{})
 	waiterDone := make(chan error, 1)
 	go func() {
@@ -230,7 +307,7 @@ func TestCachePanicReleasesWaiters(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("waiter stranded behind a panicked fill")
 	}
-	// The shard must be clean for retries.
+	// The cache must be clean for retries.
 	body, hit, err := c.Do(context.Background(), "k", fillWith("retry"))
 	if err != nil || hit || string(body) != "retry" {
 		t.Fatalf("retry after panic: body=%q hit=%v err=%v", body, hit, err)
@@ -240,7 +317,7 @@ func TestCachePanicReleasesWaiters(t *testing.T) {
 // TestCacheInFlightNotEvicted pins that eviction pressure cannot drop an
 // in-flight entry (which would duplicate its simulation).
 func TestCacheInFlightNotEvicted(t *testing.T) {
-	c := NewShardedCache(CacheConfig{Shards: 1, ShardCap: 1}, nil)
+	c := newResponseCache(nil, 1)
 	ctx := context.Background()
 	block := make(chan struct{})
 	started := make(chan struct{})
@@ -254,7 +331,7 @@ func TestCacheInFlightNotEvicted(t *testing.T) {
 		})
 	}()
 	<-started
-	// Churn the shard far past capacity while "inflight" is running.
+	// Churn the cache far past capacity while "inflight" is running.
 	for i := 0; i < 5; i++ {
 		c.Do(ctx, fmt.Sprintf("churn-%d", i), fillWith("y"))
 	}

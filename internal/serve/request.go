@@ -166,8 +166,7 @@ func (r *RunRequest) policyColumn() string {
 
 // Fingerprint is the request's content address: sha256 over the
 // normalized request document plus an operation tag (so a /run and a
-// /sweep can never collide), hex-encoded. The leading hex digits are the
-// shard prefix.
+// /sweep can never collide), hex-encoded: the response cache's key.
 func (r RunRequest) Fingerprint() string {
 	return fingerprintDoc("run", r)
 }

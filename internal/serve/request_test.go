@@ -71,7 +71,7 @@ func TestRequestValidationBuildsNothing(t *testing.T) {
 }
 
 // hitPathAllocCeiling bounds the allocations of normalize+Fingerprint, the
-// per-request work a cache hit pays before the shard lookup. Validating
+// per-request work a cache hit pays before the cache lookup. Validating
 // the workload by building the suite cost over a thousand.
 const hitPathAllocCeiling = 32
 

@@ -2,7 +2,7 @@
 // HTTP/JSON service that accepts run and sweep requests (workload, scale,
 // compile options, ADORE/policy configuration), executes them on a worker
 // fleet built from the experiment engine, and serves repeated requests
-// from a sharded content-addressed response cache in O(1) — the paper's
+// from a content-addressed response cache in O(1) — the paper's
 // premise at fleet scale: once the heavy warmup is paid, re-evaluating a
 // prefetching decision is cheap, and a cached decision is free.
 //
@@ -11,10 +11,11 @@
 // trust — compiler.Options.Fingerprint() for the compile half,
 // harness.RunConfig.Fingerprint() for the run half — so a cache hit is
 // provably the same simulation, and the cached body is returned
-// byte-identical to the cold run that produced it. The fingerprint prefix
-// picks a cache shard (cache.go); every request's jobs run on the
-// engine's one worker pool, so at most Parallelism simulations run at
-// once. DESIGN.md §17 documents the architecture.
+// byte-identical to the cold run that produced it. The response cache
+// (cache.go) is the only copy of an answer: the engine runs without a
+// result cache. Every request's jobs run on the engine's one worker pool,
+// so at most Parallelism simulations run at once. DESIGN.md §17
+// documents the architecture.
 package serve
 
 import (
@@ -34,13 +35,11 @@ import (
 type Config struct {
 	// Parallelism is the engine's worker-pool width (0 = GOMAXPROCS).
 	Parallelism int
-	// Shards and ShardCap size the response cache (CacheConfig).
+	// Shards and ShardCap are ignored: the response cache is one cache
+	// of at most 1024 bodies. They remain only until the benchmark
+	// harness stops setting them.
 	Shards   int
 	ShardCap int
-	// EngineResultCap bounds the engine's inner result cache; a
-	// long-running service must never run an unbounded cache. Default
-	// 1024.
-	EngineResultCap int
 	// Registry receives every metric (engine + serve). Created if nil.
 	Registry *metrics.Registry
 }
@@ -49,7 +48,7 @@ type Config struct {
 type Server struct {
 	reg    *metrics.Registry
 	eng    *harness.Engine
-	cache  *ShardedCache
+	cache  ResponseCache
 	status *StatusTracker
 	mux    *http.ServeMux
 
@@ -60,19 +59,16 @@ type Server struct {
 	forkedRuns *metrics.Counter
 }
 
-// New assembles the service: engine, sharded cache, and the HTTP mux.
+// New assembles the service: engine, response cache, and the HTTP mux.
 func New(cfg Config) *Server {
 	reg := cfg.Registry
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	if cfg.EngineResultCap <= 0 {
-		cfg.EngineResultCap = 1024
-	}
 	s := &Server{
 		reg:        reg,
 		status:     NewStatusTracker(),
-		cache:      NewShardedCache(CacheConfig{Shards: cfg.Shards, ShardCap: cfg.ShardCap}, reg),
+		cache:      newResponseCache(reg, responseCacheCap),
 		requests:   reg.Counter("adore_serve_requests_total", "HTTP run/sweep requests received"),
 		failures:   reg.Counter("adore_serve_failures_total", "HTTP run/sweep requests that failed"),
 		latency:    reg.Histogram("adore_serve_request_latency_ns", "run/sweep request service latency"),
@@ -80,10 +76,10 @@ func New(cfg Config) *Server {
 		forkedRuns: reg.Counter("adore_serve_forked_runs_total", "sweep continuations resumed from a warmup snapshot"),
 	}
 	s.eng = harness.NewEngine(harness.EngineConfig{
-		Parallelism:    cfg.Parallelism,
-		OnProgress:     s.status.Progress,
-		Metrics:        reg,
-		ResultCacheCap: cfg.EngineResultCap,
+		Parallelism:   cfg.Parallelism,
+		OnProgress:    s.status.Progress,
+		Metrics:       reg,
+		NoResultCache: true, // the response cache already keeps every answer
 	})
 	s.mux = ObservabilityMux(reg, s.status)
 	s.mux.HandleFunc("/run", s.handleRun)
@@ -102,7 +98,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 func (s *Server) Registry() *metrics.Registry { return s.reg }
 
 // Cache exposes the response cache (for stats and tests).
-func (s *Server) Cache() *ShardedCache { return s.cache }
+func (s *Server) Cache() ResponseCache { return s.cache }
 
 // Run returns when ctx fires. The service has no background work; Run
 // remains for callers that start it alongside the HTTP server.
@@ -173,7 +169,7 @@ func marshalBody(doc any) ([]byte, error) {
 }
 
 // serveCached runs the common request tail: look the fingerprint up in
-// the sharded cache, fill on a miss, and write the cached body with the
+// the response cache, fill on a miss, and write the cached body with the
 // cache disposition in headers — never in the body, which must stay
 // byte-identical between cold and cached service of one fingerprint.
 func (s *Server) serveCached(w http.ResponseWriter, req *http.Request, fp string, fill func(ctx context.Context) ([]byte, error)) {

@@ -15,7 +15,7 @@ import (
 // (runs are cheap at tiny scales on the simulated machine).
 func testServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
-	s := New(Config{Parallelism: 2, Shards: 2, ShardCap: 16})
+	s := New(Config{Parallelism: 2})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts
@@ -223,9 +223,9 @@ func TestSweepForked(t *testing.T) {
 }
 
 // BenchmarkServeHit measures one in-process /run cache hit through
-// Handler(): decode, normalize, fingerprint, shard lookup and the write.
+// Handler(): decode, normalize, fingerprint, cache lookup and the write.
 func BenchmarkServeHit(b *testing.B) {
-	h := New(Config{Parallelism: 1, Shards: 2, ShardCap: 16}).Handler()
+	h := New(Config{Parallelism: 1}).Handler()
 	const body = `{"workload":"mcf","scale":0.02,"policy":"paper"}`
 	serve := func() *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
