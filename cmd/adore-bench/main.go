@@ -187,8 +187,8 @@ func main() {
 			cli.Fatal(writeForkJSON(*forkJSON, *scale, forkStats))
 		}
 		if !*jsonOut {
-			fmt.Printf("fork engine: %d groups, %d forked runs, %d straight runs, warmup %d -> %d cycles (%.1fx reduction)\n",
-				forkStats.Groups, forkStats.ForkedRuns, forkStats.StraightRuns,
+			fmt.Printf("fork engine: %d groups, %d forked runs, %d merged runs, %d straight runs, warmup %d -> %d cycles (%.1fx reduction)\n",
+				forkStats.Groups, forkStats.ForkedRuns, forkStats.MergedRuns, forkStats.StraightRuns,
 				forkStats.WarmupStraight, forkStats.WarmupForked, forkStats.WarmupReduction())
 		}
 	}
@@ -241,16 +241,19 @@ func forkSummary(scale float64, s *harness.ForkStats) map[string]any {
 		"scale":                  scale,
 		"groups":                 s.Groups,
 		"forked_runs":            s.ForkedRuns,
+		"merged_runs":            s.MergedRuns,
 		"straight_runs":          s.StraightRuns,
 		"warmup_cycles_straight": s.WarmupStraight,
 		"warmup_cycles_forked":   s.WarmupForked,
 		"warmup_reduction":       s.WarmupReduction(),
 		"methodology": []string{
-			"The policy-matrix sweep runs every workload x {O2,O3} pair under each prefetch-policy column; all ADORE columns of one pair execute an identical simulation prefix up to the run's first policy-dependent decision.",
+			"The policy-matrix sweep runs every workload at O2 under each prefetch-policy column (base, the registered policies, the runtime selector); all ADORE columns of one workload execute an identical simulation prefix up to the run's first policy-dependent decision.",
 			"A fork group is the set of ADORE jobs sharing a compile key and a policy-neutral config fingerprint; its first member runs as the probe, capturing a whole-machine snapshot (CPU, memory, caches, MSHRs, PMU, controller, code image) at the policy-divergence point.",
+			"The probe carries every other group member as a lockstep shadow: at each policy point a shadow makes its own pick and optimizes its own copy of each loop trace, and stays merged while its optimized traces and results equal the probe's. merged_runs counts the members served their leader's run (with their own selector bookkeeping) without simulating.",
+			"forked_runs counts the continuations resumed from the group's one snapshot: the members that diverged run in rounds, one leader per distinct first divergence (decision and outcome) with the members that share it as its shadows. straight_runs is everything else (baselines and probes); the three counts sum to the job count.",
 			"warmup_cycles_straight is what a non-forked sweep simulates for the grouped jobs' shared prefixes: group members x snapshot cycle, summed over groups that captured a snapshot.",
 			"warmup_cycles_forked is what the forked sweep simulated for the same work: each group's snapshot cycle once. warmup_reduction is their ratio.",
-			"Groups whose probe never reached a snapshot-worthy boundary (e.g. no stable phase at this scale) fall back to straight runs and are excluded from both warmup totals.",
+			"A group whose probe never reached a snapshot-worthy boundary (no stable phase at this scale) made no policy decision, so its other members merge with the probe; it is excluded from groups and both warmup totals.",
 			"Forked results are bit-identical to straight runs; TestForkPolicyMatrixBitIdentical asserts the full matrix JSON byte-for-byte.",
 		},
 	}

@@ -13,8 +13,10 @@
 // request each slot in the stream repeats, so the stream skews hot the
 // way real query mixes do — the first occurrence of a document is a cold
 // simulation, every repeat should be a byte-identical cache hit. The
-// summary separates hit/miss latency populations (cold vs cached
-// service), and verifies byte-identity of repeats by fingerprint.
+// summary separates the hit, joined and miss latency populations by the
+// server's X-Adore-Cache disposition (cached service, a wait on another
+// request's in-flight simulation, cold service), and verifies
+// byte-identity of repeats by fingerprint.
 // Deterministic by construction: same seed, same stream.
 package main
 
@@ -116,12 +118,14 @@ type summary struct {
 	Requests        int            `json:"requests"`
 	Errors          int            `json:"errors"`
 	Hits            int            `json:"hits"`
+	Joins           int            `json:"joins"`
 	Misses          int            `json:"misses"`
 	ByteIdentical   bool           `json:"byte_identical"`
 	DurationSeconds float64        `json:"duration_seconds"`
 	RPS             float64        `json:"rps"`
 	Overall         latencySummary `json:"latency_overall"`
 	Hit             latencySummary `json:"latency_hit"`
+	Joined          latencySummary `json:"latency_joined"`
 	Miss            latencySummary `json:"latency_miss"`
 }
 
@@ -163,6 +167,7 @@ func main() {
 	var (
 		mu        sync.Mutex
 		hitMS     []float64
+		joinMS    []float64
 		missMS    []float64
 		errors    int
 		issued    int
@@ -201,9 +206,12 @@ func main() {
 							} else {
 								bodies[fp] = sum
 							}
-							if resp.Header.Get("X-Adore-Cache") == "hit" {
+							switch resp.Header.Get("X-Adore-Cache") {
+							case "hit":
 								hitMS = append(hitMS, elapsed)
-							} else {
+							case "joined":
+								joinMS = append(joinMS, elapsed)
+							default:
 								missMS = append(missMS, elapsed)
 							}
 						}
@@ -232,16 +240,17 @@ func main() {
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	all := append(append([]float64{}, hitMS...), missMS...)
+	all := append(append(append([]float64{}, hitMS...), joinMS...), missMS...)
 	s := summary{
 		Mode: *mode, Seed: *seed, Zipf: *zipfS, Universe: len(uni),
 		Requests: issued, Errors: errors,
-		Hits: len(hitMS), Misses: len(missMS),
+		Hits: len(hitMS), Joins: len(joinMS), Misses: len(missMS),
 		ByteIdentical:   identical,
 		DurationSeconds: elapsed.Seconds(),
 		RPS:             float64(issued) / elapsed.Seconds(),
 		Overall:         summarize(all),
 		Hit:             summarize(hitMS),
+		Joined:          summarize(joinMS),
 		Miss:            summarize(missMS),
 	}
 	b, err := json.MarshalIndent(s, "", "  ")

@@ -134,6 +134,10 @@ type Controller struct {
 	// (kindMetrics); nil entries are disabled no-ops.
 	counters [len(kindMetrics)]*metrics.Counter
 
+	// shadows are other fork-group members deciding in lockstep with
+	// this run (shadow.go).
+	shadows []*Shadow
+
 	// OnWindow, when set, receives every profile window's metrics — the
 	// hook the harness uses to record the Fig. 8/9 time series.
 	OnWindow func(WindowMetrics)
@@ -339,6 +343,7 @@ func (c *Controller) onStablePhase(now uint64, info *PhaseInfo) uint64 {
 			A: policyIndex(pol.PolicyName()), B: uint64(c.Stats.PolicySelections) + 1,
 		})
 	}
+	c.pickShadows(ctx)
 
 	var charge uint64
 	anyInserted := false
@@ -362,27 +367,20 @@ func (c *Controller) onStablePhase(now uint64, info *PhaseInfo) uint64 {
 			continue // not enough evidence of frequent misses
 		}
 		var pristine *Trace
-		if c.cfg.Verify || c.sel != nil {
+		if c.cfg.Verify || c.sel != nil || len(c.shadows) > 0 {
 			pristine = cloneTrace(t)
 		}
-		res := pol.Optimize(t, loads, ctx)
-		if c.sel != nil && res.Total() == 0 {
-			// The picked policy saw nothing it could prefetch (most often
-			// unclassifiable loads): retry the trace with the fallback.
-			if fb := c.sel.Fallback(pol.PolicyName()); fb != nil {
-				*t = *cloneTrace(pristine)
-				if fres := fb.Optimize(t, loads, ctx); fres.Total() > 0 {
-					res = fres
-					c.sel.noteUse(fb.PolicyName())
-					c.emit(obs.Event{
-						Cycle: now, Kind: obs.KindPolicySwitched, Loop: c.loopOf(t.Start),
-						PC: t.Start, A: policyIndex(pol.PolicyName()), B: policyIndex(fb.PolicyName()),
-					})
-				} else {
-					*t = *cloneTrace(pristine) // nothing worked: restore
-				}
-			}
+		// With the selector on, a trace the picked policy saw nothing to
+		// prefetch in (most often unclassifiable loads) is retried with
+		// the fallback.
+		res, fb := optimizeTrace(pol, c.sel, t, pristine, loads, ctx)
+		if fb != nil {
+			c.emit(obs.Event{
+				Cycle: now, Kind: obs.KindPolicySwitched, Loop: c.loopOf(t.Start),
+				PC: t.Start, A: policyIndex(pol.PolicyName()), B: policyIndex(fb.PolicyName()),
+			})
 		}
+		c.followShadows(t, res, pristine, loads, ctx)
 		if c.OnOptimize != nil {
 			c.OnOptimize(ctx.Cycle, t, loads, res)
 		}

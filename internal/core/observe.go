@@ -16,9 +16,11 @@ import (
 // kindMetrics names the live counter each counted event kind feeds. The
 // counters aggregate across every run wired to the same registry (per-run
 // totals live in Stats) and are execution-side: result-cache hits run no
-// controller and add nothing, and a fork continuation counts only what it
-// executes, not the prefix restored from its probe's snapshot. Every help
-// string ends with execSide to say so.
+// controller and add nothing, a fork continuation counts only what it
+// executes, not the prefix restored from its probe's snapshot, and a
+// merged fork-group member (served its leader's run, shadow.go) adds
+// nothing, like a cache hit. Shadows never feed them. Every help string
+// ends with execSide to say so.
 var kindMetrics = [...]struct{ name, help string }{
 	obs.KindWindowObserved: {"adore_core_windows_observed_total", "profile windows copied from the SSB"},
 	obs.KindPhaseDetected:  {"adore_core_phases_detected_total", "stable phases confirmed by the detector"},
@@ -32,7 +34,7 @@ var kindMetrics = [...]struct{ name, help string }{
 }
 
 // execSide ends every adore_core_* help string.
-const execSide = " (execution-side: a fork continuation does not re-count its restored prefix)"
+const execSide = " (execution-side: a fork continuation does not re-count its restored prefix, nor a merged fork member its leader's run)"
 
 // emit records one event on all three views: Stats, the live counter and
 // the ring.

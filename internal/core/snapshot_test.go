@@ -52,6 +52,7 @@ func TestControllerSnapshotFieldCoverage(t *testing.T) {
 		"obs":        "enablement validated; recorder contents and delta baselines captured",
 		"Stats":      "captured",
 		"counters":   "structural: resolved from cfg.Metrics by NewController; fleet-wide instruments, not run state",
+		"shadows":    "host-side: lockstep deciders of other fork-group members; a resumed run attaches its own",
 
 		"OnWindow":      "host closure, re-registered by the resuming assembly",
 		"OnSamples":     "host closure, re-registered by the resuming assembly",

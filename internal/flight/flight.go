@@ -71,9 +71,37 @@ func New[V any](capacity int) *Cache[V] {
 // SetMetrics mirrors the cache's counters onto m. Call before use.
 func (c *Cache[V]) SetMetrics(m Metrics) { c.m = m }
 
-// Do returns the value cached under key, running fill on a miss.
-// Concurrent calls with one key run fill once and share its result;
-// shared reports that this call did not run fill.
+// Outcome is how one call was served: it ran the fill (Miss), waited on a
+// fill another caller was running (Joined), or found a completed value
+// (Hit).
+type Outcome int
+
+const (
+	Miss Outcome = iota
+	Joined
+	Hit
+)
+
+// String returns "miss", "joined" or "hit".
+func (o Outcome) String() string {
+	switch o {
+	case Joined:
+		return "joined"
+	case Hit:
+		return "hit"
+	}
+	return "miss"
+}
+
+// Do is Fetch reporting only whether the call did not run fill.
+func (c *Cache[V]) Do(ctx context.Context, key string, fill func(context.Context) (V, error)) (v V, shared bool, err error) {
+	v, o, err := c.Fetch(ctx, key, fill)
+	return v, o != Miss, err
+}
+
+// Fetch returns the value cached under key, running fill on a miss, and
+// how the call was served. Concurrent calls with one key run fill once
+// and share its result.
 //
 // A caller that joined an in-flight fill returns as soon as its own ctx
 // fires. The caller running the fill returns only when the fill does,
@@ -84,7 +112,7 @@ func (c *Cache[V]) SetMetrics(m Metrics) { c.m = m }
 // cached: its waiters get the error and the next caller starts afresh.
 // A panicking fill hands its waiters an error and the panic continues in
 // the caller that ran it.
-func (c *Cache[V]) Do(ctx context.Context, key string, fill func(context.Context) (V, error)) (v V, shared bool, err error) {
+func (c *Cache[V]) Fetch(ctx context.Context, key string, fill func(context.Context) (V, error)) (v V, o Outcome, err error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		c.hits.Add(1)
@@ -92,7 +120,7 @@ func (c *Cache[V]) Do(ctx context.Context, key string, fill func(context.Context
 		if e.elem != nil {
 			c.lru.MoveToFront(e.elem)
 			c.mu.Unlock()
-			return e.val, true, nil
+			return e.val, Hit, nil
 		}
 		c.joins.Add(1)
 		c.m.Joins.Inc()
@@ -102,9 +130,9 @@ func (c *Cache[V]) Do(ctx context.Context, key string, fill func(context.Context
 		defer stop()
 		select {
 		case <-e.ready:
-			return e.val, true, e.err
+			return e.val, Joined, e.err
 		case <-ctx.Done():
-			return v, true, ctx.Err()
+			return v, Joined, ctx.Err()
 		}
 	}
 	fctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
@@ -126,7 +154,7 @@ func (c *Cache[V]) Do(ctx context.Context, key string, fill func(context.Context
 	v, err = fill(fctx)
 	finished = true
 	c.finish(e, v, err)
-	return v, false, err
+	return v, Miss, err
 }
 
 // leave records that one waiter of e gave up. The last one out unlinks

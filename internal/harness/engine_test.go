@@ -155,10 +155,29 @@ func forkGroupJobs(t *testing.T, name string) []Job {
 	}
 }
 
+// mergeGroupJobs returns mcf's paper, throttle, selector and nextline
+// columns at golden scale: under RunJobsForked paper probes, throttle and
+// the selector decide exactly as paper does and merge with it, and
+// nextline diverges and resumes from the snapshot.
+func mergeGroupJobs(t *testing.T) []Job {
+	t.Helper()
+	g := GoldenExpConfig()
+	b, err := workloads.ByName("mcf", g.Scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := benchSpec(b, g.Scale, compiler.O2)
+	var jobs []Job
+	for _, col := range []string{core.PolicyPaper, core.PolicyThrottle, PolicySelectorColumn, core.PolicyNextLine} {
+		jobs = append(jobs, Job{Name: "mcf/" + col, Compile: sp, Config: forkRunConfig(g.Core, col, false)})
+	}
+	return jobs
+}
+
 // TestEngineProgressEvents checks both schedulers report one start and one
 // done event per job, each labeled with the sweep, its index and the
 // sweep's size — the fork-group case through the probe and continuation
-// paths too.
+// paths too, and the merging group through the merged members' jobs.
 func TestEngineProgressEvents(t *testing.T) {
 	b, err := workloads.ByName("mcf", 0.02)
 	if err != nil {
@@ -174,10 +193,12 @@ func TestEngineProgressEvents(t *testing.T) {
 		sched      scheduler
 		jobs       []Job
 		wantGroups int
+		wantMerged int
 	}{
-		{"RunJobs", straightScheduler, plain, 0},
-		{"RunJobsForked", forkScheduler, plain, 0},
-		{"RunJobsForked/fork-group", forkScheduler, forkGroupJobs(t, "mcf"), 1},
+		{"RunJobs", straightScheduler, plain, 0, 0},
+		{"RunJobsForked", forkScheduler, plain, 0, 0},
+		{"RunJobsForked/fork-group", forkScheduler, forkGroupJobs(t, "mcf"), 1, 0},
+		{"RunJobsForked/merging-group", forkScheduler, mergeGroupJobs(t), 1, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -205,8 +226,9 @@ func TestEngineProgressEvents(t *testing.T) {
 					t.Errorf("job %d: starts=%d dones=%d, want 1/1", i, starts[i], dones[i])
 				}
 			}
-			if stats != nil && (stats.Groups != tc.wantGroups || stats.ForkedRuns != tc.wantGroups) {
-				t.Errorf("fork stats %+v, want %d group(s) and forked run(s)", stats, tc.wantGroups)
+			if stats != nil && (stats.Groups != tc.wantGroups || stats.ForkedRuns != tc.wantGroups ||
+				stats.MergedRuns != tc.wantMerged) {
+				t.Errorf("fork stats %+v, want %d group(s) and forked run(s), %d merged", stats, tc.wantGroups, tc.wantMerged)
 			}
 		})
 	}

@@ -23,6 +23,9 @@ import (
 // the snapshot — bit-identical to a straight run, because the simulator
 // is deterministic and the snapshot captures every run-varying bit of
 // state (CPU, memory, caches, MSHRs, PMU, controller, code image).
+// Configurations whose policy decisions all match a group-mate's do not
+// even resume: they ride along its run as lockstep shadows
+// (core.Shadow) and are served that run.
 
 // ForkDivergence is the captureMin value asking RunForkProbeImage to
 // keep re-capturing at every snapshot-worthy hook boundary and freeze
@@ -153,8 +156,13 @@ func (snap *ForkSnapshot) restore(m *cpu.CPU, code *program.CodeSpace,
 // (with a nil error) means no eligible boundary was reached — e.g. the
 // run never grew a stable phase; callers fall back to straight runs.
 func RunForkProbeImage(ctx context.Context, img *program.Image, cfg RunConfig, captureMin uint64) (*RunResult, *ForkSnapshot, error) {
+	return runForkProbe(ctx, img, cfg, captureMin, nil)
+}
+
+// runForkProbe is RunForkProbeImage with lockstep shadows attached.
+func runForkProbe(ctx context.Context, img *program.Image, cfg RunConfig, captureMin uint64, shadows []core.Config) (*RunResult, *ForkSnapshot, error) {
 	pr := &forkProbe{minCycle: captureMin}
-	res, err := runImage(ctx, img, cfg, pr, nil)
+	res, err := runImage(ctx, img, cfg, pr, nil, shadows)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -167,7 +175,7 @@ func RunForkProbeImage(ctx context.Context, img *program.Image, cfg RunConfig, c
 // the restore validates this — but its prefetch policy and selector may
 // differ when the snapshot was taken at the divergence point.
 func RunForkedImage(ctx context.Context, img *program.Image, cfg RunConfig, snap *ForkSnapshot) (*RunResult, error) {
-	return runImage(ctx, img, cfg, nil, snap)
+	return runImage(ctx, img, cfg, nil, snap, nil)
 }
 
 // forkPrefixFingerprint fingerprints everything of a RunConfig that
@@ -189,14 +197,18 @@ func forkable(cfg RunConfig) bool {
 	return cfg.ADORE && cfg.OnOptimize == nil && !cfg.CaptureDear
 }
 
-// ForkStats summarizes one forked sweep's warmup sharing.
+// ForkStats summarizes one forked sweep's warmup sharing and merging.
 type ForkStats struct {
 	// Groups is the number of fork groups that captured a usable
 	// snapshot; ForkedRuns the continuations resumed from one;
-	// StraightRuns everything else (probes, baselines, un-forkable
-	// jobs, and fallbacks for groups that never reached a snapshot).
+	// MergedRuns the members whose every policy decision matched a
+	// group-mate's, served that run without simulating; StraightRuns
+	// everything else (probes, baselines, un-forkable jobs, and members
+	// left over in a group without a snapshot). The three run counts sum
+	// to the sweep's job count.
 	Groups       int
 	ForkedRuns   int
+	MergedRuns   int
 	StraightRuns int
 
 	// WarmupStraight is the total simulated warmup a non-forked sweep
@@ -216,14 +228,43 @@ func (s *ForkStats) WarmupReduction() float64 {
 	return float64(s.WarmupStraight) / float64(s.WarmupForked)
 }
 
+// mergedResult is a merged member's result: its leader's run record with
+// the member's own controller statistics. The architectural state is
+// copied, the final memory and code space are shared read-only, and the
+// leader's controller stays the leader's.
+func mergedResult(leader *RunResult, sh *core.Shadow) *RunResult {
+	r := *leader
+	arch := *leader.Arch
+	r.Arch = &arch
+	cs := sh.Stats(*leader.Core)
+	r.Core = &cs
+	r.Controller = nil
+	return &r
+}
+
 // RunJobsForked is RunJobs with checkpoint/fork scheduling: jobs whose
 // configurations differ only in prefetch policy/selector (and share a
-// compile) form fork groups. Each group's first member runs as the
-// probe — a full run that also captures the divergence-point snapshot —
-// and the rest resume from the snapshot, skipping the shared warmup.
-// Results are bit-identical to RunJobs; the two phases (probes and
-// un-grouped jobs, then continuations) both run on the worker pool.
-// Continuations bypass the result cache (their results are still
+// compile) form fork groups. Each group's first member runs as the probe
+// — a full run that also captures the divergence-point snapshot — with
+// every other member attached as a lockstep shadow (core.Shadow). A
+// member whose decisions all matched its leader's is merged: it completes
+// as its own engine job, served the leader's run with its own controller
+// statistics, after the leader finishes. The members that diverged resume
+// from the group's one snapshot in rounds. Members that first diverged
+// from the same leader at the same decision with the same outcome may
+// still share a path, so one of them leads and the rest shadow it; the
+// others are known to decide differently and lead in parallel. Whoever
+// diverges from a round's leader waits for the next round. An observed
+// member never merges (core.Controller.AddShadow), so it leads its own
+// continuation. A group without a snapshot made no policy decision, so
+// its members merge with the probe; one left over anyway (it is observed,
+// or its policy does not resolve and it reports its own error) runs
+// straight.
+//
+// Results are bit-identical to RunJobs. Probes, un-grouped jobs, each
+// round's leaders and the merged members run on the worker pool in that
+// order, each phase behind the previous one's barrier. Continuations and
+// merged members bypass the result cache (their results are still
 // hermetic, but the probe path must run to produce the snapshot).
 func (e *Engine) RunJobsForked(ctx context.Context, sweep string, jobs []Job) ([]*RunResult, *ForkStats, error) {
 	type group struct {
@@ -231,7 +272,8 @@ func (e *Engine) RunJobsForked(ctx context.Context, sweep string, jobs []Job) ([
 		snap    *ForkSnapshot
 	}
 	groups := map[string]*group{}
-	var order []string
+	groupOf := make([]*group, len(jobs))
+	var order []*group
 	for i := range jobs {
 		if !forkable(jobs[i].Config) {
 			continue
@@ -241,73 +283,146 @@ func (e *Engine) RunJobsForked(ctx context.Context, sweep string, jobs []Job) ([
 		if g == nil {
 			g = &group{}
 			groups[key] = g
-			order = append(order, key)
+			order = append(order, g)
 		}
 		g.members = append(g.members, i)
-	}
-	probeOf := make(map[int]*group)
-	contOf := make(map[int]*group)
-	for _, key := range order {
-		g := groups[key]
-		if len(g.members) < 2 {
-			continue // a lone policy shares nothing; run it straight
-		}
-		probeOf[g.members[0]] = g
-		for _, i := range g.members[1:] {
-			contOf[i] = g
-		}
+		groupOf[i] = g
 	}
 
-	out := make([]*RunResult, len(jobs))
-	sweepStart := time.Now()
-	runOne := func(ctx context.Context, i int) error {
-		var sim func(context.Context, *compiler.BuildResult, RunConfig) (*RunResult, error)
-		if g := probeOf[i]; g != nil {
-			sim = func(ctx context.Context, build *compiler.BuildResult, cfg RunConfig) (*RunResult, error) {
-				res, snap, err := RunForkProbeImage(ctx, build.Image, cfg, ForkDivergence)
+	// A rider is a group member that shadowed leader's run: merged with
+	// it at the end, or waiting for a run of its own.
+	type rider struct {
+		job, leader int
+		shadow      *core.Shadow
+	}
+	var (
+		out       = make([]*RunResult, len(jobs))
+		sims      = make([]func(context.Context, *compiler.BuildResult, RunConfig) (*RunResult, error), len(jobs))
+		followers = make([][]int, len(jobs))          // job indices each leader drives as shadows
+		shadows   = make([][]*core.Shadow, len(jobs)) // and their deciders once its run ends
+	)
+	// lead builds the simulation of job i driving the given group-mates as
+	// shadows: a probe capturing g's snapshot, or a continuation resumed
+	// from it.
+	lead := func(i int, g *group, resume *ForkSnapshot, others []int) {
+		cfgs := make([]core.Config, len(others))
+		for k, j := range others {
+			cfgs[k] = jobs[j].Config.Core
+		}
+		followers[i] = others
+		sims[i] = func(ctx context.Context, build *compiler.BuildResult, cfg RunConfig) (*RunResult, error) {
+			var res *RunResult
+			var err error
+			if resume == nil {
+				var snap *ForkSnapshot
+				res, snap, err = runForkProbe(ctx, build.Image, cfg, ForkDivergence, cfgs)
 				g.snap = snap // nil when no boundary was eligible
-				return res, err
+			} else {
+				res, err = runImage(ctx, build.Image, cfg, nil, resume, cfgs)
 			}
-		} else if g := contOf[i]; g != nil && g.snap != nil {
-			sim = func(ctx context.Context, build *compiler.BuildResult, cfg RunConfig) (*RunResult, error) {
-				return RunForkedImage(ctx, build.Image, cfg, g.snap)
+			if err != nil {
+				return nil, err
+			}
+			shadows[i] = res.Controller.Shadows()
+			return res, nil
+		}
+	}
+	sweepStart := time.Now()
+	var merged, waiting []rider
+	runPhase := func(phase []int) error {
+		err := e.Map(ctx, len(phase), func(ctx context.Context, k int) error {
+			i := phase[k]
+			var err error
+			out[i], err = e.runJob(ctx, sweep, sweepStart, jobs, i, sims[i])
+			return err
+		})
+		for _, i := range phase {
+			for k, sh := range shadows[i] {
+				r := rider{followers[i][k], i, sh}
+				if sh.Merged() {
+					merged = append(merged, r)
+				} else {
+					waiting = append(waiting, r)
+				}
 			}
 		}
-		var err error
-		out[i], err = e.runJob(ctx, sweep, sweepStart, jobs, i, sim)
 		return err
 	}
 
-	// Phase A: probes plus every un-grouped job. Phase B: continuations,
-	// which need their group's snapshot and so wait for phase A's barrier.
-	var phaseA, phaseB []int
+	// Phase A: probes, each shadowed by its group-mates, plus every
+	// un-grouped job. A lone policy shares nothing and runs straight.
+	var phase []int
 	for i := range jobs {
-		if contOf[i] != nil {
-			phaseB = append(phaseB, i)
-		} else {
-			phaseA = append(phaseA, i)
+		g := groupOf[i]
+		switch {
+		case g == nil || len(g.members) == 1:
+			phase = append(phase, i)
+		case g.members[0] == i:
+			lead(i, g, nil, g.members[1:])
+			phase = append(phase, i)
 		}
 	}
-	if err := e.Map(ctx, len(phaseA), func(ctx context.Context, k int) error {
-		return runOne(ctx, phaseA[k])
-	}); err != nil {
-		return nil, nil, err
-	}
-	if err := e.Map(ctx, len(phaseB), func(ctx context.Context, k int) error {
-		return runOne(ctx, phaseB[k])
-	}); err != nil {
+	if err := runPhase(phase); err != nil {
 		return nil, nil, err
 	}
 
-	stats := &ForkStats{StraightRuns: len(jobs)}
-	for _, key := range order {
-		g := groups[key]
-		if len(g.members) < 2 || g.snap == nil {
+	// Continuation rounds: one leader per class of waiting members that
+	// may share a path; the rest of its class shadow it.
+	forked := 0
+	for len(waiting) > 0 {
+		var classes [][]rider
+	next:
+		for _, w := range waiting {
+			for k, c := range classes {
+				if c[0].leader == w.leader && c[0].shadow.SamePath(w.shadow) {
+					classes[k] = append(c, w)
+					continue next
+				}
+			}
+			classes = append(classes, []rider{w})
+		}
+		waiting, phase = nil, phase[:0]
+		for _, c := range classes {
+			g := groupOf[c[0].job]
+			if g.snap == nil {
+				for _, r := range c {
+					phase = append(phase, r.job) // straight
+				}
+				continue
+			}
+			others := make([]int, len(c)-1)
+			for k, r := range c[1:] {
+				others[k] = r.job
+			}
+			lead(c[0].job, g, g.snap, others)
+			phase = append(phase, c[0].job)
+			forked++
+		}
+		if err := runPhase(phase); err != nil {
+			return nil, nil, err
+		}
+	}
+
+	// Merged members, each served its leader's finished run.
+	phase = phase[:0]
+	for _, r := range merged {
+		r := r
+		sims[r.job] = func(context.Context, *compiler.BuildResult, RunConfig) (*RunResult, error) {
+			return mergedResult(out[r.leader], r.shadow), nil
+		}
+		phase = append(phase, r.job)
+	}
+	if err := runPhase(phase); err != nil {
+		return nil, nil, err
+	}
+
+	stats := &ForkStats{ForkedRuns: forked, MergedRuns: len(merged)}
+	stats.StraightRuns = len(jobs) - forked - len(merged)
+	for _, g := range order {
+		if g.snap == nil {
 			continue
 		}
 		stats.Groups++
-		stats.ForkedRuns += len(g.members) - 1
-		stats.StraightRuns -= len(g.members) - 1
 		stats.WarmupForked += g.snap.Cycle
 		stats.WarmupStraight += uint64(len(g.members)) * g.snap.Cycle
 	}

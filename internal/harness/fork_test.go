@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/compiler"
@@ -337,6 +338,154 @@ func TestForkPolicyMatrixBitIdentical(t *testing.T) {
 	t.Logf("fork stats: %+v (%.1f× warmup reduction)", stats, stats.WarmupReduction())
 }
 
+// straightRuns runs each job straight on e, keeping the architectural
+// state compareRuns checks but not the final memory, code space or
+// controller, which would hold hundreds of MB across a matrix.
+func straightRuns(t *testing.T, e *Engine, jobs []Job) []*RunResult {
+	t.Helper()
+	out := make([]*RunResult, len(jobs))
+	err := e.Map(context.Background(), len(jobs), func(ctx context.Context, i int) error {
+		build, err := e.Cache().Build(jobs[i].Compile)
+		if err != nil {
+			return err
+		}
+		res, err := RunContext(ctx, build, jobs[i].Config)
+		if err != nil {
+			return err
+		}
+		res.FinalMemory, res.Code, res.Controller = nil, nil, nil
+		out[i] = res
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestForkMergedMembersMatchStraightRuns sends every ADORE member of the
+// golden-scale policy matrix (17 workloads × 4 policies + selector)
+// through RunJobsForked and demands each result be bit-identical to the
+// straight run of that member's own configuration — probes that carried
+// shadows, continuations resumed in rounds, and merged members served
+// their leader's run alike, selector ledgers (PolicySelections,
+// PolicySwitches) included.
+func TestForkMergedMembersMatchStraightRuns(t *testing.T) {
+	e := NewEngine(EngineConfig{})
+	_, _, all := policyMatrixJobs(GoldenExpConfig())
+	var jobs []Job
+	for _, j := range all {
+		if j.Config.ADORE {
+			jobs = append(jobs, j)
+		}
+	}
+	want := straightRuns(t, e, jobs)
+	out, stats, err := e.RunJobsForked(context.Background(), "merge-test", jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 85 members make 36 distinct decision sequences: 17 probes plus 19
+	// continuations simulate, and the other 49 merge.
+	if stats.MergedRuns != 49 || stats.ForkedRuns != 19 || stats.StraightRuns != 17 {
+		t.Errorf("fork stats %+v, want 49 merged, 19 forked, 17 straight", stats)
+	}
+	for i, j := range jobs {
+		t.Run(j.Name, func(t *testing.T) { compareRuns(t, want[i], out[i]) })
+	}
+}
+
+// TestForkObservedGroupNeverMerges pins that an observed member never
+// shares its leader's run, whether observation is asked for through
+// RunConfig.Observe or directly through Core.Observe: its event stream
+// records its own policy picks. Every member of mcf's merging group then
+// simulates its own continuation, bit-identical to its straight run,
+// events included.
+func TestForkObservedGroupNeverMerges(t *testing.T) {
+	for _, via := range []string{"RunConfig.Observe", "Core.Observe"} {
+		t.Run(via, func(t *testing.T) {
+			jobs := mergeGroupJobs(t)
+			for i := range jobs {
+				if via == "RunConfig.Observe" {
+					jobs[i].Config.Observe = true
+				} else {
+					jobs[i].Config.Core.Observe = true
+				}
+			}
+			e := NewEngine(EngineConfig{})
+			want := straightRuns(t, e, jobs)
+			out, stats, err := e.RunJobsForked(context.Background(), "observed", jobs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.MergedRuns != 0 || stats.ForkedRuns != 3 {
+				t.Errorf("fork stats %+v, want 0 merged, 3 forked", stats)
+			}
+			for i, j := range jobs {
+				if want[i].Obs == nil || len(want[i].Obs.Events) == 0 {
+					t.Fatalf("%s recorded no events", j.Name)
+				}
+				t.Run(j.Name, func(t *testing.T) { compareRuns(t, want[i], out[i]) })
+			}
+		})
+	}
+}
+
+// TestShadowSamePath pins how the fork engine sorts members that
+// diverged from a leader: on mcf at golden scale, two nextline shadows of
+// a paper probe first differ at the same decision with the same outcome
+// and may share a continuation, while nextline and adaptive differ from
+// each other and lead their own. A merged shadow or one whose policy
+// does not resolve shares a path with nobody.
+func TestShadowSamePath(t *testing.T) {
+	jobs := forkGroupJobs(t, "mcf")
+	build, err := compiler.Build(jobs[0].Compile.Kernel, jobs[0].Compile.Options)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cfgs []core.Config
+	for _, pol := range []string{core.PolicyNextLine, core.PolicyNextLine, core.PolicyAdaptive, core.PolicyThrottle, "bogus"} {
+		c := jobs[0].Config.Core
+		c.Policy = pol
+		cfgs = append(cfgs, c)
+	}
+	res, _, err := runForkProbe(context.Background(), build.Image, jobs[0].Config, ForkDivergence, cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := res.Controller.Shadows()
+	next, next2, adaptive, throttle, bogus := sh[0], sh[1], sh[2], sh[3], sh[4]
+	if next.Merged() || adaptive.Merged() || !throttle.Merged() || bogus.Merged() {
+		t.Fatalf("merged: nextline %v, adaptive %v, throttle %v, bogus %v; want only throttle",
+			next.Merged(), adaptive.Merged(), throttle.Merged(), bogus.Merged())
+	}
+	if !next.SamePath(next2) {
+		t.Error("two nextline shadows do not share a path")
+	}
+	for _, c := range []struct {
+		name string
+		a, b *core.Shadow
+	}{{"nextline/adaptive", next, adaptive}, {"nextline/throttle", next, throttle},
+		{"throttle/throttle", throttle, throttle}, {"bogus/bogus", bogus, bogus}} {
+		if c.a.SamePath(c.b) {
+			t.Errorf("%s share a path", c.name)
+		}
+	}
+}
+
+// TestForkGroupBadPolicyFailsItself pins error attribution under
+// merging: a group member whose policy does not resolve rides along the
+// probe as a never-merged shadow, then runs on its own and fails with its
+// own job's error, not the probe's.
+func TestForkGroupBadPolicyFailsItself(t *testing.T) {
+	jobs := forkGroupJobs(t, "mcf")
+	jobs[1].Name = "mcf/bogus"
+	jobs[1].Config.Core.Policy = "bogus"
+	_, _, err := NewEngine(EngineConfig{}).RunJobsForked(context.Background(), "test", jobs)
+	if err == nil || !strings.HasPrefix(err.Error(), "mcf/bogus: ") || !strings.Contains(err.Error(), "unknown prefetch policy") {
+		t.Fatalf("err = %v, want mcf/bogus's unknown-policy error", err)
+	}
+}
+
 // BenchmarkForkSweep times the forked policy-matrix sweep; benchstat
 // rows against the straight engine quantify the throughput win.
 func BenchmarkForkSweep(b *testing.B) {
@@ -349,5 +498,6 @@ func BenchmarkForkSweep(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(stats.WarmupReduction(), "warmup-reduction")
+		b.ReportMetric(float64(stats.MergedRuns), "merged-runs")
 	}
 }

@@ -18,9 +18,11 @@ import (
 //     RunResult of every finished job, so a cache hit folds the cached
 //     result again. That makes the sim totals proportional to what the
 //     sweep consumed, not to what the simulator executed — the view a
-//     throughput dashboard wants. (The live adore_core_* counters the
-//     controller's event path feeds are the execution-side complement:
-//     cache hits contribute nothing there.)
+//     throughput dashboard wants. A merged fork-group member folds its
+//     served result like any other job. (The live adore_core_* counters
+//     the controller's event path feeds are the execution-side
+//     complement: cache hits and merged members contribute nothing
+//     there.)
 //
 // All instruments are nil when the engine has no registry, making every
 // recording below a no-op (the internal/metrics contract).

@@ -146,7 +146,9 @@ type RunResult struct {
 	// The machine fields — FinalMemory, Arch, Code, Controller — are set
 	// only on runs made outside the engine's result cache (direct runs,
 	// differential, hook-carrying and fork runs). The cache keeps a run
-	// record, so they are nil in every result it hands out.
+	// record, so they are nil in every result it hands out. A merged fork
+	// member (RunJobsForked) shares its leader's FinalMemory and Code
+	// read-only, carries its own copy of Arch, and has no Controller.
 	Arch       *isa.ArchState     `json:"-"`
 	Code       *program.CodeSpace `json:"-"`
 	Controller *core.Controller   `json:"-"`
@@ -175,16 +177,19 @@ func RunImage(img *program.Image, cfg RunConfig) (*RunResult, error) {
 
 // RunImageContext is RunImage with cancellation.
 func RunImageContext(ctx context.Context, img *program.Image, cfg RunConfig) (*RunResult, error) {
-	return runImage(ctx, img, cfg, nil, nil)
+	return runImage(ctx, img, cfg, nil, nil, nil)
 }
 
-// runImage assembles and runs one machine. The two optional fork
+// runImage assembles and runs one machine. The three optional fork
 // parameters (fork.go) select the checkpoint/fork engine's modes: a
 // non-nil probe captures a ForkSnapshot while the run executes normally;
 // a non-nil resume rewinds the freshly assembled machine to the snapshot
 // before the first simulated cycle, so the run replays only the
-// continuation. At most one may be set; plain runs pass nil for both.
-func runImage(ctx context.Context, img *program.Image, cfg RunConfig, probe *forkProbe, resume *ForkSnapshot) (*RunResult, error) {
+// continuation. At most one of those may be set. shadows attaches one
+// lockstep decider per entry to the controller (core.Controller.AddShadow),
+// read back from RunResult.Controller. Plain runs pass nil for all three.
+func runImage(ctx context.Context, img *program.Image, cfg RunConfig, probe *forkProbe, resume *ForkSnapshot,
+	shadows []core.Config) (*RunResult, error) {
 	code := program.NewCodeSpace()
 	// Each run gets a private copy of the code: ADORE patches bundles in
 	// place, and runs must not contaminate each other.
@@ -257,6 +262,9 @@ func runImage(ctx context.Context, img *program.Image, cfg RunConfig, probe *for
 			}
 		}
 		ctrl.OnOptimize = cfg.OnOptimize
+		for _, sc := range shadows {
+			ctrl.AddShadow(sc)
+		}
 		ctrl.SetImage(img)
 		ctrl.Attach(m)
 	}

@@ -80,7 +80,9 @@ func TestCycleProfilerNonPerturbing(t *testing.T) {
 // two of the jobs are identical (one result-cache hit), so adore_engine_*
 // counts host work while adore_sim_* counts work served (the cached
 // result folds twice). The fork-group case adds a probe and a
-// continuation, which bypass the result cache.
+// continuation, which bypass the result cache; the merging group adds
+// two members served the probe's run, which fold as served work but
+// execute nothing.
 func TestEngineMetricsFold(t *testing.T) {
 	base := DefaultRunConfig()
 	adore := DefaultRunConfig()
@@ -97,6 +99,12 @@ func TestEngineMetricsFold(t *testing.T) {
 		{Name: "art/base", Compile: gspec, Config: base},
 		{Name: "art/base-again", Compile: gspec, Config: base},
 	}, group...)
+	mgroup := mergeGroupJobs(t)
+	mspec := mgroup[0].Compile
+	merging := append([]Job{
+		{Name: "mcf/base", Compile: mspec, Config: base},
+		{Name: "mcf/base-again", Compile: mspec, Config: base},
+	}, mgroup...)
 
 	cases := []struct {
 		name  string
@@ -106,10 +114,12 @@ func TestEngineMetricsFold(t *testing.T) {
 		// continuations run outside it.
 		resultMisses uint64
 		groups       int
+		merged       int
 	}{
-		{"RunJobs", straightScheduler, plain, 2, 0},
-		{"RunJobsForked", forkScheduler, plain, 2, 0},
-		{"RunJobsForked/fork-group", forkScheduler, forked, 1, 1},
+		{"RunJobs", straightScheduler, plain, 2, 0, 0},
+		{"RunJobsForked", forkScheduler, plain, 2, 0, 0},
+		{"RunJobsForked/fork-group", forkScheduler, forked, 1, 1, 0},
+		{"RunJobsForked/merging-group", forkScheduler, merging, 1, 1, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -119,8 +129,9 @@ func TestEngineMetricsFold(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if stats != nil && stats.Groups != tc.groups {
-				t.Fatalf("fork groups = %d, want %d (stats %+v)", stats.Groups, tc.groups, stats)
+			if stats != nil && (stats.Groups != tc.groups || stats.MergedRuns != tc.merged) {
+				t.Fatalf("fork groups/merged = %d/%d, want %d/%d (stats %+v)",
+					stats.Groups, stats.MergedRuns, tc.groups, tc.merged, stats)
 			}
 
 			counter := func(name string) uint64 {
@@ -154,30 +165,46 @@ func TestEngineMetricsFold(t *testing.T) {
 				t.Errorf("queue-wait observations = %d, want %d", got, n)
 			}
 
-			// Folded sim totals cover every finished job, cache hits included.
-			var wantCycles uint64
+			// Folded sim totals cover every finished job, cache hits and
+			// merged members included.
+			var wantCycles, wantInsts uint64
 			for _, res := range out {
 				wantCycles += res.CPU.Cycles
+				wantInsts += res.CPU.Retired
 			}
 			if got := counter("adore_sim_cycles_total"); got != wantCycles {
 				t.Errorf("adore_sim_cycles_total = %d, want %d (sum over served jobs)", got, wantCycles)
 			}
+			if got := counter("adore_sim_instructions_total"); got != wantInsts {
+				t.Errorf("adore_sim_instructions_total = %d, want %d (sum over served jobs)", got, wantInsts)
+			}
 
-			// Live controller counters agree with the ADORE runs' Stats.
-			// No patch precedes a run's first policy decision, so a
-			// continuation's restored prefix holds none and the patch
-			// counter is an exact sum. Windows are counted live, so a
-			// continuation adds only those past its snapshot.
-			var patches, windows, first int
+			// Live controller counters agree with the Stats of the ADORE
+			// runs that simulated: merged members execute nothing. A
+			// merged result is the one shape with its leader's final
+			// memory and no controller (a result-cache record has
+			// neither). No patch precedes
+			// a run's first policy decision, so a continuation's restored
+			// prefix holds none and the patch counter is an exact sum.
+			// Windows are counted live, so a continuation adds only those
+			// past its snapshot.
+			var patches, windows, first, mergedSeen int
 			for i, res := range out[2:] {
 				if res.Core == nil {
 					t.Fatalf("ADORE job %d has no core stats", i+2)
 				}
-				patches += res.Core.TracesPatched
 				windows += res.Core.WindowsObserved
 				if i == 0 {
 					first = res.Core.WindowsObserved
 				}
+				if res.Controller == nil && res.FinalMemory != nil {
+					mergedSeen++
+					continue
+				}
+				patches += res.Core.TracesPatched
+			}
+			if mergedSeen != tc.merged {
+				t.Errorf("%d results served without a controller, want %d merged", mergedSeen, tc.merged)
 			}
 			if got := counter("adore_core_patches_installed_total"); got != uint64(patches) {
 				t.Errorf("adore_core_patches_installed_total = %d, want %d", got, patches)

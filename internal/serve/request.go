@@ -174,7 +174,8 @@ func (r RunRequest) Fingerprint() string {
 // SweepRequest asks for one workload across a set of policy columns —
 // the repeated, cacheable query mix of a policy search. The server runs
 // it on the checkpoint/fork engine: ADORE columns differing only in
-// policy share one warmup probe (harness.RunJobsForked).
+// policy share one warmup probe, and columns that decide alike share one
+// run (harness.RunJobsForked).
 type SweepRequest struct {
 	Workload string  `json:"workload"`
 	Scale    float64 `json:"scale,omitempty"`

@@ -57,6 +57,7 @@ type Server struct {
 	latency    *metrics.Histogram
 	forkGroups *metrics.Counter
 	forkedRuns *metrics.Counter
+	mergedRuns *metrics.Counter
 }
 
 // New assembles the service: engine, response cache, and the HTTP mux.
@@ -74,6 +75,7 @@ func New(cfg Config) *Server {
 		latency:    reg.Histogram("adore_serve_request_latency_ns", "run/sweep request service latency"),
 		forkGroups: reg.Counter("adore_serve_fork_groups_total", "fork groups formed by sweep requests"),
 		forkedRuns: reg.Counter("adore_serve_forked_runs_total", "sweep continuations resumed from a warmup snapshot"),
+		mergedRuns: reg.Counter("adore_serve_fork_merged_runs_total", "sweep columns served a group-mate's run because every policy decision matched"),
 	}
 	s.eng = harness.NewEngine(harness.EngineConfig{
 		Parallelism:   cfg.Parallelism,
@@ -124,6 +126,7 @@ type RunResponse struct {
 type ForkSummary struct {
 	Groups          int     `json:"groups"`
 	ForkedRuns      int     `json:"forked_runs"`
+	MergedRuns      int     `json:"merged_runs"`
 	StraightRuns    int     `json:"straight_runs"`
 	WarmupStraight  uint64  `json:"warmup_cycles_straight"`
 	WarmupForked    uint64  `json:"warmup_cycles_forked"`
@@ -170,12 +173,13 @@ func marshalBody(doc any) ([]byte, error) {
 
 // serveCached runs the common request tail: look the fingerprint up in
 // the response cache, fill on a miss, and write the cached body with the
-// cache disposition in headers — never in the body, which must stay
-// byte-identical between cold and cached service of one fingerprint.
+// cache disposition (hit, joined or miss) in headers — never in the
+// body, which must stay byte-identical between cold and cached service
+// of one fingerprint.
 func (s *Server) serveCached(w http.ResponseWriter, req *http.Request, fp string, fill func(ctx context.Context) ([]byte, error)) {
 	s.requests.Inc()
 	start := time.Now()
-	body, hit, err := s.cache.Do(req.Context(), fp, fill)
+	body, outcome, err := s.cache.Fetch(req.Context(), fp, fill)
 	s.latency.Observe(uint64(time.Since(start)))
 	if err != nil {
 		s.failures.Inc()
@@ -184,11 +188,7 @@ func (s *Server) serveCached(w http.ResponseWriter, req *http.Request, fp string
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Adore-Fingerprint", fp)
-	if hit {
-		w.Header().Set("X-Adore-Cache", "hit")
-	} else {
-		w.Header().Set("X-Adore-Cache", "miss")
-	}
+	w.Header().Set("X-Adore-Cache", outcome.String())
 	w.Write(body)
 }
 
@@ -259,7 +259,9 @@ func (s *Server) handleRun(w http.ResponseWriter, req *http.Request) {
 
 // handleSweep serves POST /sweep: one workload across policy columns on
 // the checkpoint/fork engine — ADORE columns differing only in policy
-// share one warmup probe, so the sweep costs one warmup plus N tails.
+// share one warmup probe, and columns whose decisions match share a whole
+// run, so the sweep costs one warmup plus one tail per distinct decision
+// path.
 func (s *Server) handleSweep(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -293,6 +295,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, req *http.Request) {
 			doc.Fork = &ForkSummary{
 				Groups:          stats.Groups,
 				ForkedRuns:      stats.ForkedRuns,
+				MergedRuns:      stats.MergedRuns,
 				StraightRuns:    stats.StraightRuns,
 				WarmupStraight:  stats.WarmupStraight,
 				WarmupForked:    stats.WarmupForked,
@@ -300,6 +303,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, req *http.Request) {
 			}
 			s.forkGroups.Add(uint64(stats.Groups))
 			s.forkedRuns.Add(uint64(stats.ForkedRuns))
+			s.mergedRuns.Add(uint64(stats.MergedRuns))
 		}
 		return marshalBody(doc)
 	})

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -9,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // testServer builds a small service instance backed by the real engine
@@ -178,9 +180,11 @@ func TestRunConcurrentSingleFlight(t *testing.T) {
 }
 
 // TestSweepForked pins the /sweep path: a policy sweep runs fork-grouped,
-// reports per-column results in order, and caches like /run.
+// reports per-column results in order, and caches like /run. Its fork
+// summary accounts for every column once, as a straight, forked or merged
+// run, and the serve-level counters carry the same counts.
 func TestSweepForked(t *testing.T) {
-	_, ts := testServer(t)
+	s, ts := testServer(t)
 	const body = `{"workload":"equake","scale":0.02,"policies":["base","nextline","selector"]}`
 	cold := post(t, ts.URL+"/sweep", body)
 	coldBody := readAll(t, cold)
@@ -211,6 +215,23 @@ func TestSweepForked(t *testing.T) {
 	if doc.Fork.Groups+doc.Fork.StraightRuns == 0 {
 		t.Fatalf("fork summary empty: %+v", doc.Fork)
 	}
+	// One group at most (the two ADORE columns): its probe runs straight
+	// and the other column either resumes from the snapshot or merges.
+	f := doc.Fork
+	if f.StraightRuns+f.ForkedRuns+f.MergedRuns != len(wantCols) || f.Groups > 1 ||
+		f.ForkedRuns+f.MergedRuns > 1 || f.ForkedRuns > f.Groups {
+		t.Fatalf("fork summary %+v does not account for %d columns", f, len(wantCols))
+	}
+	reg := s.Registry()
+	for name, want := range map[string]int{
+		"adore_serve_fork_groups_total":      f.Groups,
+		"adore_serve_forked_runs_total":      f.ForkedRuns,
+		"adore_serve_fork_merged_runs_total": f.MergedRuns,
+	} {
+		if got := reg.Counter(name, "").Value(); got != uint64(want) {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
 
 	warm := post(t, ts.URL+"/sweep", body)
 	warmBody := readAll(t, warm)
@@ -219,6 +240,42 @@ func TestSweepForked(t *testing.T) {
 	}
 	if !bytes.Equal(coldBody, warmBody) {
 		t.Fatal("repeat sweep body not byte-identical")
+	}
+}
+
+// TestCacheDisposition pins X-Adore-Cache's three values: with the first
+// request's fill held on a channel, a second identical request joins it
+// ("joined"), the first reports "miss", and a third after the fill
+// completes is a "hit". All three get the same body.
+func TestCacheDisposition(t *testing.T) {
+	s := New(Config{Parallelism: 1})
+	started, release := make(chan struct{}), make(chan struct{})
+	fill := func(context.Context) ([]byte, error) {
+		close(started) // a second fill would panic here
+		<-release
+		return []byte("{}\n"), nil
+	}
+	serve := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		s.serveCached(rec, httptest.NewRequest(http.MethodPost, "/run", nil), "held", fill)
+		return rec
+	}
+	first, second := make(chan *httptest.ResponseRecorder), make(chan *httptest.ResponseRecorder)
+	go func() { first <- serve() }()
+	<-started
+	go func() { second <- serve() }()
+	for s.Cache().Cache.Stats().Joins == 0 {
+		time.Sleep(time.Millisecond) // until the second request has joined
+	}
+	close(release)
+	recs := []*httptest.ResponseRecorder{<-first, <-second, serve()}
+	for i, want := range []string{"miss", "joined", "hit"} {
+		if got := recs[i].Header().Get("X-Adore-Cache"); got != want {
+			t.Errorf("request %d: X-Adore-Cache = %q, want %q", i, got, want)
+		}
+		if recs[i].Code != http.StatusOK || recs[i].Body.String() != "{}\n" {
+			t.Errorf("request %d: status %d, body %q", i, recs[i].Code, recs[i].Body)
+		}
 	}
 }
 
