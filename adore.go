@@ -268,29 +268,37 @@ func Experiments() ExpConfig { return harness.DefaultExpConfig() }
 
 // Fig7 regenerates Fig. 7(a) (level O2) or 7(b) (level O3).
 func Fig7(cfg ExpConfig, level compiler.OptLevel) (*Fig7Result, error) {
-	return harness.RunFig7(cfg, level)
+	return harness.RunFig7Context(context.Background(), cfg, level)
 }
 
 // Table1 regenerates the profile-guided static prefetching comparison.
-func Table1(cfg ExpConfig) (*Table1Result, error) { return harness.RunTable1(cfg) }
+func Table1(cfg ExpConfig) (*Table1Result, error) {
+	return harness.RunTable1Context(context.Background(), cfg)
+}
 
 // Table2 regenerates the prefetch pattern analysis.
-func Table2(cfg ExpConfig) (*Table2Result, error) { return harness.RunTable2(cfg) }
+func Table2(cfg ExpConfig) (*Table2Result, error) {
+	return harness.RunTable2Context(context.Background(), cfg)
+}
 
 // Series regenerates the Fig. 8 (art) / Fig. 9 (mcf) time series for any
 // benchmark.
 func Series(cfg ExpConfig, name string) (*SeriesResult, error) {
-	return harness.RunSeries(cfg, name)
+	return harness.RunSeriesContext(context.Background(), cfg, name)
 }
 
 // Fig10 regenerates the register-reservation/SWP impact comparison.
-func Fig10(cfg ExpConfig) (*Fig10Result, error) { return harness.RunFig10(cfg) }
+func Fig10(cfg ExpConfig) (*Fig10Result, error) {
+	return harness.RunFig10Context(context.Background(), cfg)
+}
 
 // Fig11 regenerates the monitoring-overhead measurement.
-func Fig11(cfg ExpConfig) (*Fig11Result, error) { return harness.RunFig11(cfg) }
+func Fig11(cfg ExpConfig) (*Fig11Result, error) {
+	return harness.RunFig11Context(context.Background(), cfg)
+}
 
 // PolicyMatrix runs every benchmark under every registered prefetch policy
 // and the runtime selector, against the no-prefetching baseline.
 func PolicyMatrix(cfg ExpConfig) (*PolicyMatrixResult, error) {
-	return harness.RunPolicyMatrix(cfg)
+	return harness.RunPolicyMatrixContext(context.Background(), cfg)
 }

@@ -1,6 +1,7 @@
 package adore
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -33,7 +34,7 @@ func row(f *harness.Fig7Result, name string) *harness.SpeedupRow {
 // binaries across the 17 benchmarks.
 func BenchmarkFig7a(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := harness.RunFig7(benchExpConfig(), compiler.O2)
+		res, err := harness.RunFig7Context(context.Background(), benchExpConfig(), compiler.O2)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -49,7 +50,7 @@ func BenchmarkFig7a(b *testing.B) {
 // BenchmarkFig7b regenerates Fig. 7(b): runtime prefetching over O3.
 func BenchmarkFig7b(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := harness.RunFig7(benchExpConfig(), compiler.O3)
+		res, err := harness.RunFig7Context(context.Background(), benchExpConfig(), compiler.O3)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -72,7 +73,7 @@ func benchFig7AtParallelism(b *testing.B, workers int) {
 	cfg := benchExpConfig()
 	for i := 0; i < b.N; i++ {
 		cfg.Engine = harness.NewEngine(harness.EngineConfig{Parallelism: workers})
-		res, err := harness.RunFig7(cfg, compiler.O2)
+		res, err := harness.RunFig7Context(context.Background(), cfg, compiler.O2)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -100,9 +101,10 @@ func BenchmarkFig7Parallel(b *testing.B) { benchFig7AtParallelism(b, 0) }
 // BenchmarkPaperSweep runs Fig. 7(a), Fig. 7(b), Table 1 and Fig. 11, in
 // that order, on one fresh single-worker engine per iteration at the golden
 // corpus configuration — the sweeps adore-bench runs on one shared engine.
-// cache-hits/op counts the runs one iteration served from the result cache
-// instead of simulating, so a change in how much the sweeps share shows
-// up next to its time.
+// Every run of the four is an engine job, 153 in all. cache-hits/op counts
+// the runs one iteration served from the result cache instead of
+// simulating (Table 1's 17 O3 base runs and all 34 of Fig. 11's), so a
+// change in how much the sweeps share shows up next to its time.
 func BenchmarkPaperSweep(b *testing.B) {
 	if testing.Short() {
 		b.Skip("long: four 17-benchmark sweeps")
@@ -112,14 +114,14 @@ func BenchmarkPaperSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg.Engine = harness.NewEngine(harness.EngineConfig{Parallelism: 1})
 		for _, level := range []compiler.OptLevel{compiler.O2, compiler.O3} {
-			if _, err := harness.RunFig7(cfg, level); err != nil {
+			if _, err := harness.RunFig7Context(context.Background(), cfg, level); err != nil {
 				b.Fatal(err)
 			}
 		}
-		if _, err := harness.RunTable1(cfg); err != nil {
+		if _, err := harness.RunTable1Context(context.Background(), cfg); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := harness.RunFig11(cfg); err != nil {
+		if _, err := harness.RunFig11Context(context.Background(), cfg); err != nil {
 			b.Fatal(err)
 		}
 		h, _ := cfg.Engine.Results().Stats()
@@ -131,7 +133,7 @@ func BenchmarkPaperSweep(b *testing.B) {
 // BenchmarkTable1 regenerates the profile-guided static prefetching table.
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := harness.RunTable1(benchExpConfig())
+		res, err := harness.RunTable1Context(context.Background(), benchExpConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -142,7 +144,7 @@ func BenchmarkTable1(b *testing.B) {
 // BenchmarkTable2 regenerates the prefetch pattern analysis.
 func BenchmarkTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := harness.RunTable2(benchExpConfig())
+		res, err := harness.RunTable2Context(context.Background(), benchExpConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -161,7 +163,7 @@ func BenchmarkTable2(b *testing.B) {
 // BenchmarkFig8 regenerates the 179.art CPI/DEAR time series.
 func BenchmarkFig8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := harness.RunSeries(benchExpConfig(), "art")
+		res, err := harness.RunSeriesContext(context.Background(), benchExpConfig(), "art")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -177,7 +179,7 @@ func BenchmarkFig8(b *testing.B) {
 // BenchmarkFig9 regenerates the 181.mcf series.
 func BenchmarkFig9(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := harness.RunSeries(benchExpConfig(), "mcf")
+		res, err := harness.RunSeriesContext(context.Background(), benchExpConfig(), "mcf")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -192,7 +194,7 @@ func BenchmarkFig9(b *testing.B) {
 // BenchmarkFig10 regenerates the register/SWP impact comparison.
 func BenchmarkFig10(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := harness.RunFig10(benchExpConfig())
+		res, err := harness.RunFig10Context(context.Background(), benchExpConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -209,7 +211,7 @@ func BenchmarkFig10(b *testing.B) {
 // BenchmarkFig11 regenerates the monitoring overhead measurement.
 func BenchmarkFig11(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := harness.RunFig11(benchExpConfig())
+		res, err := harness.RunFig11Context(context.Background(), benchExpConfig())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -52,7 +53,7 @@ func TestFig7SerialParallelIdentical(t *testing.T) {
 	_, parallel := goldenFig7O2(t)
 	cfg := GoldenExpConfig()
 	cfg.Engine = NewEngine(EngineConfig{Parallelism: 1})
-	serial, err := RunFig7(cfg, compiler.O2)
+	serial, err := RunFig7Context(context.Background(), cfg, compiler.O2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ import (
 // Progress is one live event from an engine sweep, emitted when a job
 // starts (Done false) and when it finishes (Done true).
 type Progress struct {
-	Sweep string // driver label ("fig7/O2", "table1", ...)
+	Sweep string // driver label ("fig7/O2", "table1/profile", ...)
 	Job   string // unit label ("mcf/adore")
 	Index int    // job index within the sweep
 	Total int    // jobs in the sweep
@@ -111,31 +111,22 @@ func (e *Engine) Cache() *BuildCache { return e.cache }
 // counters); nil under NoResultCache.
 func (e *Engine) Results() *ResultCache { return e.results }
 
-// simulate runs build under cfg through the result cache, which keys it
-// by compileKey and cfg's fingerprint, or directly on an engine without
-// one.
-func (e *Engine) simulate(ctx context.Context, compileKey string, build *compiler.BuildResult, cfg RunConfig) (*RunResult, error) {
-	if e.results == nil {
-		return RunContext(ctx, build, cfg)
-	}
-	return e.results.Run(ctx, compileKey, build, cfg)
-}
-
 func (e *Engine) report(p Progress) {
 	if e.cfg.OnProgress != nil {
 		e.cfg.OnProgress(p)
 	}
 }
 
-// Map runs fn(i) for every i in [0, n) on the worker pool. Callers slot
-// results into their own output by index, so result order is deterministic
-// regardless of completion order. The first error cancels the context
-// passed to the remaining jobs, stops dispatch, and is returned.
+// each runs fn(i) for every i in [0, n) on the worker pool; it is the
+// pool under RunJobs and RunJobsForked. Callers slot results into their
+// own output by index, so result order is deterministic regardless of
+// completion order. The first error cancels the context passed to the
+// remaining jobs, stops dispatch, and is returned.
 //
 // Each worker holds one of the engine's slots, shared with every other
-// Map in flight, from its first job to its last, so the sweeps that got
-// slots first finish first. fn must not call Map itself.
-func (e *Engine) Map(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
+// call in flight, from its first job to its last, so the sweeps that got
+// slots first finish first. fn must not call each itself.
+func (e *Engine) each(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
 	}
@@ -218,7 +209,7 @@ type Job struct {
 func (e *Engine) RunJobs(ctx context.Context, sweep string, jobs []Job) ([]*RunResult, error) {
 	out := make([]*RunResult, len(jobs))
 	sweepStart := time.Now()
-	err := e.Map(ctx, len(jobs), func(ctx context.Context, i int) error {
+	err := e.each(ctx, len(jobs), func(ctx context.Context, i int) error {
 		var err error
 		out[i], err = e.runJob(ctx, sweep, sweepStart, jobs, i, nil)
 		return err
@@ -234,8 +225,8 @@ func (e *Engine) RunJobs(ctx context.Context, sweep string, jobs []Job) ([]*RunR
 // reports, Metrics defaulting, the build, latency/busy time, the result
 // fold and the done report. sim, when non-nil, simulates the job in place
 // of the default dispatch — the fork engine's probes and continuations.
-// The default sends a hook-free job to simulate and a hooked one straight
-// to RunContext.
+// The default sends a hook-free job through the result cache, on an engine
+// that has one, and any other job straight to RunContext.
 func (e *Engine) runJob(ctx context.Context, sweep string, sweepStart time.Time, jobs []Job, i int,
 	sim func(context.Context, *compiler.BuildResult, RunConfig) (*RunResult, error)) (*RunResult, error) {
 	j := &jobs[i]
@@ -256,14 +247,13 @@ func (e *Engine) runJob(ctx context.Context, sweep string, sweepStart time.Time,
 		switch {
 		case sim != nil:
 			res, err = sim(ctx, build, cfg)
-		case cfg.OnOptimize == nil:
+		case cfg.OnOptimize == nil && e.results != nil:
 			// Hermetic, hook-free job: identical (build, config) pairs
-			// share one simulation through the result cache, on an
-			// engine that has one. The key includes the run
-			// fingerprint, so two configs differing in anything
-			// observable — notably the prefetch policy — can never
-			// alias.
-			res, err = e.simulate(ctx, j.Compile.Key(), build, cfg)
+			// share one simulation through the result cache. The key
+			// includes the run fingerprint, so two configs differing
+			// in anything observable — notably the prefetch policy —
+			// can never alias.
+			res, err = e.results.Run(ctx, j.Compile.Key(), build, cfg)
 		default:
 			res, err = RunContext(ctx, build, cfg)
 		}
@@ -283,18 +273,6 @@ func (e *Engine) runJob(ctx context.Context, sweep string, sweepStart time.Time,
 		return nil, fmt.Errorf("%s: %w", j.Name, err)
 	}
 	return res, nil
-}
-
-// RunJob schedules one job — the unit the serve front door submits per
-// request — and returns its result. Identical to RunJobs with a
-// single-element slice: the job shares the engine's caches and its
-// metrics with every other request in flight.
-func (e *Engine) RunJob(ctx context.Context, sweep string, job Job) (*RunResult, error) {
-	out, err := e.RunJobs(ctx, sweep, []Job{job})
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
 }
 
 // BuildCache is a single-flight cache of compiler builds keyed by

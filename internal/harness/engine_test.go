@@ -19,7 +19,7 @@ func TestEngineMapSlotsResultsByIndex(t *testing.T) {
 		e := NewEngine(EngineConfig{Parallelism: workers})
 		const n = 32
 		out := make([]int, n)
-		err := e.Map(context.Background(), n, func(_ context.Context, i int) error {
+		err := e.each(context.Background(), n, func(_ context.Context, i int) error {
 			out[i] = i * i
 			return nil
 		})
@@ -38,7 +38,7 @@ func TestEngineMapFirstErrorCancelsRest(t *testing.T) {
 	e := NewEngine(EngineConfig{Parallelism: 2})
 	boom := errors.New("boom")
 	var ran atomic.Int64
-	err := e.Map(context.Background(), 1000, func(ctx context.Context, i int) error {
+	err := e.each(context.Background(), 1000, func(ctx context.Context, i int) error {
 		ran.Add(1)
 		if i == 3 {
 			return boom
@@ -58,7 +58,7 @@ func TestEngineMapHonorsParentCancellation(t *testing.T) {
 	e := NewEngine(EngineConfig{Parallelism: 2})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := e.Map(ctx, 10, func(context.Context, int) error { return nil })
+	err := e.each(ctx, 10, func(context.Context, int) error { return nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -97,7 +97,7 @@ func TestEngineSlotsBoundConcurrentSweeps(t *testing.T) {
 		}
 		go func() {
 			arrived.Add(1)
-			_, err := e.RunJob(context.Background(), "sweep", Job{Name: "mcf", Compile: sp, Config: cfg})
+			_, err := e.RunJobs(context.Background(), "sweep", []Job{{Name: "mcf", Compile: sp, Config: cfg}})
 			errs <- err
 		}()
 	}

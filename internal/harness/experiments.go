@@ -95,15 +95,11 @@ type Fig7Result struct {
 	Rows  []SpeedupRow
 }
 
-// RunFig7 reproduces Fig. 7: speedup of runtime prefetching over the plain
-// binary at the given optimization level, across the 17 benchmarks.
-func RunFig7(cfg ExpConfig, level compiler.OptLevel) (*Fig7Result, error) {
-	return RunFig7Context(context.Background(), cfg, level)
-}
-
-// RunFig7Context is RunFig7 on the engine: each benchmark contributes a
-// base job and an ADORE job (sharing one compile through the build cache),
-// and rows keep the workloads.All order whatever the completion order.
+// RunFig7Context reproduces Fig. 7: speedup of runtime prefetching over
+// the plain binary at the given optimization level, across the 17
+// benchmarks. Each benchmark contributes a base job and an ADORE job
+// (sharing one compile through the build cache), and rows keep the
+// workloads.All order whatever the completion order.
 func RunFig7Context(ctx context.Context, cfg ExpConfig, level compiler.OptLevel) (*Fig7Result, error) {
 	benches := workloads.All(cfg.Scale)
 	jobs := make([]Job, 0, 2*len(benches))
@@ -192,96 +188,70 @@ type Table1Result struct {
 // equivalent cut that keeps every loop whose prefetch matters is 98%.
 const table1CoverTarget = 0.98
 
-// RunTable1 reproduces Table 1: collect a sampling profile of the O2
-// binary, keep the loops whose delinquent loads cover the bulk of the
+// RunTable1Context reproduces Table 1: collect a sampling profile of the
+// O2 binary, keep the loops whose delinquent loads cover the bulk of the
 // total miss latency, recompile O3 prefetching only those, and compare
 // execution time and binary size against plain O3.
-func RunTable1(cfg ExpConfig) (*Table1Result, error) {
-	return RunTable1Context(context.Background(), cfg)
-}
-
-// RunTable1Context is RunTable1 on the engine. Each benchmark's
-// profile → recompile → measure chain is inherently sequential, so the unit
-// of parallelism is the benchmark; the O2 and O3 compiles still come from
-// the shared build cache (Fig. 7 runs the very same binaries), and two of
-// its three runs from the shared result cache: the O2 training run is
-// Fig. 11's monitor run and the O3 base run is Fig. 7(b)'s base run.
+//
+// The chain runs as two rounds of engine jobs, because each filtered
+// compile needs its benchmark's profile: first the O2 training runs, then
+// every benchmark's O3 base run and profile-filtered O3 run. On a shared
+// engine two of the three runs come from the result cache: the training
+// run is Fig. 11's monitor job and the O3 base run Fig. 7(b)'s base job.
 func RunTable1Context(ctx context.Context, cfg ExpConfig) (*Table1Result, error) {
 	e := cfg.engine()
 	benches := workloads.All(cfg.Scale)
-	rows := make([]Table1Row, len(benches))
-	err := e.Map(ctx, len(benches), func(ctx context.Context, i int) error {
-		b := benches[i]
-		e.report(Progress{Sweep: "table1", Job: b.Name, Index: i, Total: len(benches)})
-		row, err := table1Row(ctx, e, cfg, b)
-		e.report(Progress{Sweep: "table1", Job: b.Name, Index: i, Total: len(benches), Done: true, Err: err})
-		if err != nil {
-			return fmt.Errorf("%s: %w", b.Name, err)
-		}
-		rows[i] = row
-		return nil
-	})
+	// The profile comes from the un-prefetched (O2) binary: profiling the
+	// O3 binary would hide exactly the loops whose static prefetches work.
+	// Loop IDs are stable across levels.
+	train := make([]Job, len(benches))
+	for i, b := range benches {
+		train[i] = Job{Name: b.Name + "/profile", Compile: benchSpec(b, cfg.Scale, compiler.O2), Config: cfg.monitorConfig()}
+	}
+	profiles, err := e.RunJobs(ctx, "table1/profile", train)
 	if err != nil {
 		return nil, err
 	}
+
+	rows := make([]Table1Row, len(benches))
+	jobs := make([]Job, 0, 2*len(benches))
+	for i, b := range benches {
+		noPf, err := e.Cache().Build(train[i].Compile)
+		if err != nil {
+			return nil, err
+		}
+		keep, coverage := selectLoops(profiles[i], noPf, table1CoverTarget)
+		o3 := benchSpec(b, cfg.Scale, compiler.O3)
+		filtered := o3
+		filtered.Options.PrefetchLoops = keep
+		rows[i] = Table1Row{Name: b.Name, ProfileCoverage: coverage}
+		jobs = append(jobs,
+			Job{Name: b.Name + "/o3", Compile: o3, Config: cfg.runConfig()},
+			Job{Name: b.Name + "/filtered", Compile: filtered, Config: cfg.runConfig()},
+		)
+	}
+	runs, err := e.RunJobs(ctx, "table1/o3", jobs)
+	if err != nil {
+		return nil, err
+	}
+
+	for i := range rows {
+		full, err := e.Cache().Build(jobs[2*i].Compile)
+		if err != nil {
+			return nil, err
+		}
+		filtered, err := e.Cache().Build(jobs[2*i+1].Compile)
+		if err != nil {
+			return nil, err
+		}
+		base, filt := runs[2*i], runs[2*i+1]
+		r := &rows[i]
+		r.LoopsO3 = full.LoopsPrefetched
+		r.LoopsProfile = filtered.LoopsPrefetched
+		r.NormExecTime = float64(filt.CPU.Cycles) / float64(base.CPU.Cycles)
+		r.NormBinarySize = float64(filtered.Image.BundleCount) / float64(full.Image.BundleCount)
+	}
 	return &Table1Result{Rows: rows}, nil
-}
-
-// table1Row runs one benchmark's Table 1 chain.
-func table1Row(ctx context.Context, e *Engine, cfg ExpConfig, b workloads.Benchmark) (Table1Row, error) {
-	o3 := benchSpec(b, cfg.Scale, compiler.O3)
-	full, err := e.Cache().Build(o3)
-	if err != nil {
-		return Table1Row{}, err
-	}
-	// Training run with sampling to collect the miss profile. The
-	// profile comes from the un-prefetched (O2) binary: profiling
-	// the O3 binary would hide exactly the loops whose static
-	// prefetches work. Loop IDs are stable across levels.
-	o2 := benchSpec(b, cfg.Scale, compiler.O2)
-	noPf, err := e.Cache().Build(o2)
-	if err != nil {
-		return Table1Row{}, err
-	}
-	// The training run is Fig. 11's monitor job, so on a shared engine
-	// one of the two is a result-cache hit. It is simulated directly,
-	// not as a job, so it folds nothing into adore_sim_*; the engine's
-	// registry (fingerprint-exempt) keeps its controller's events in
-	// adore_core_* whichever experiment fills the entry.
-	mon := cfg.monitorConfig()
-	mon.Metrics = e.cfg.Metrics
-	profileRun, err := e.simulate(ctx, o2.Key(), noPf, mon)
-	if err != nil {
-		return Table1Row{}, err
-	}
-	keep, coverage := selectLoops(profileRun, noPf, table1CoverTarget)
-
-	fspec := o3
-	fspec.Options.PrefetchLoops = keep
-	filtered, err := e.Cache().Build(fspec)
-	if err != nil {
-		return Table1Row{}, err
-	}
-
-	// The O3 base run is exactly Fig. 7(b)'s base job — same build, same
-	// configuration — so on a shared engine it comes from the result cache.
-	baseRun, err := e.simulate(ctx, o3.Key(), full, cfg.runConfig())
-	if err != nil {
-		return Table1Row{}, err
-	}
-	filtRun, err := RunContext(ctx, filtered, cfg.runConfig())
-	if err != nil {
-		return Table1Row{}, err
-	}
-
-	return Table1Row{
-		Name:            b.Name,
-		LoopsO3:         full.LoopsPrefetched,
-		LoopsProfile:    filtered.LoopsPrefetched,
-		NormExecTime:    float64(filtRun.CPU.Cycles) / float64(baseRun.CPU.Cycles),
-		NormBinarySize:  float64(filtered.Image.BundleCount) / float64(full.Image.BundleCount),
-		ProfileCoverage: coverage,
-	}, nil
 }
 
 // FilteredFraction reports the average fraction of prefetch-scheduled loops
@@ -327,15 +297,10 @@ type Table2Result struct {
 	Rows []Table2Row
 }
 
-// RunTable2 reproduces Table 2 from the Fig. 7(a) ADORE runs (O2
+// RunTable2Context reproduces Table 2 from the Fig. 7(a) ADORE runs (O2
 // binaries): the number of prefetches inserted per reference pattern and
-// the number of optimized phases.
-func RunTable2(cfg ExpConfig) (*Table2Result, error) {
-	return RunTable2Context(context.Background(), cfg)
-}
-
-// RunTable2Context is RunTable2 on the engine; with a shared engine the
-// underlying Fig. 7(a) binaries come straight from the build cache.
+// the number of optimized phases. With a shared engine the underlying
+// Fig. 7(a) runs come straight from the engine's caches.
 func RunTable2Context(ctx context.Context, cfg ExpConfig) (*Table2Result, error) {
 	fig7, err := RunFig7Context(ctx, cfg, compiler.O2)
 	if err != nil {
@@ -377,15 +342,10 @@ type SeriesResult struct {
 	Without []SeriesPoint
 }
 
-// RunSeries reproduces Fig. 8 (art) or Fig. 9 (mcf): CPI and DEAR events
-// per 1000 instructions over execution time, with and without runtime
-// prefetching, on the O2 binary.
-func RunSeries(cfg ExpConfig, name string) (*SeriesResult, error) {
-	return RunSeriesContext(context.Background(), cfg, name)
-}
-
-// RunSeriesContext is RunSeries on the engine: the with/without runs are
-// two jobs over one cached compile.
+// RunSeriesContext reproduces Fig. 8 (art) or Fig. 9 (mcf): CPI and DEAR
+// events per 1000 instructions over execution time, with and without
+// runtime prefetching, on the O2 binary. The with/without runs are two
+// jobs over one cached compile.
 func RunSeriesContext(ctx context.Context, cfg ExpConfig, name string) (*SeriesResult, error) {
 	b, err := workloads.ByName(name, cfg.Scale)
 	if err != nil {
@@ -477,15 +437,11 @@ type Fig10Result struct {
 	Rows []Fig10Row
 }
 
-// RunFig10 reproduces Fig. 10: the cost of reserving four registers and
-// disabling software pipelining, measured without any runtime optimization.
-func RunFig10(cfg ExpConfig) (*Fig10Result, error) {
-	return RunFig10Context(context.Background(), cfg)
-}
-
-// RunFig10Context is RunFig10 on the engine: one restricted-O2 job (the
-// compile shared with Fig. 7(a) via the cache) and one original-O2 job per
-// benchmark.
+// RunFig10Context reproduces Fig. 10: the cost of reserving four
+// registers and disabling software pipelining, measured without any
+// runtime optimization. Each benchmark contributes one restricted-O2 job
+// (the compile shared with Fig. 7(a) via the cache) and one original-O2
+// job.
 func RunFig10Context(ctx context.Context, cfg ExpConfig) (*Fig10Result, error) {
 	benches := workloads.All(cfg.Scale)
 	jobs := make([]Job, 0, 2*len(benches))
@@ -540,16 +496,11 @@ type Fig11Result struct {
 	Rows []Fig11Row
 }
 
-// RunFig11 reproduces Fig. 11: execution time with the full ADORE pipeline
-// running (sampling, phase detection, trace selection, optimization) but
-// no patches installed — isolating the system overhead, which the paper
-// measures at 1-2%.
-func RunFig11(cfg ExpConfig) (*Fig11Result, error) {
-	return RunFig11Context(context.Background(), cfg)
-}
-
-// RunFig11Context is RunFig11 on the engine: a plain job and a
-// monitor-only job per benchmark, over one shared O2 compile. On a shared
+// RunFig11Context reproduces Fig. 11: execution time with the full ADORE
+// pipeline running (sampling, phase detection, trace selection,
+// optimization) but no patches installed — isolating the system overhead,
+// which the paper measures at 1-2%. Each benchmark contributes a plain job
+// and a monitor-only job over one shared O2 compile. On a shared
 // engine the plain jobs are Fig. 7(a)'s base runs and the monitor jobs
 // Table 1's training runs, all served by the result cache.
 func RunFig11Context(ctx context.Context, cfg ExpConfig) (*Fig11Result, error) {

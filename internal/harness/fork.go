@@ -330,7 +330,7 @@ func (e *Engine) RunJobsForked(ctx context.Context, sweep string, jobs []Job) ([
 	sweepStart := time.Now()
 	var merged, waiting []rider
 	runPhase := func(phase []int) error {
-		err := e.Map(ctx, len(phase), func(ctx context.Context, k int) error {
+		err := e.each(ctx, len(phase), func(ctx context.Context, k int) error {
 			i := phase[k]
 			var err error
 			out[i], err = e.runJob(ctx, sweep, sweepStart, jobs, i, sims[i])

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/compiler"
 	"repro/internal/core"
+	"repro/internal/isa"
 	"repro/internal/workloads"
 )
 
@@ -56,8 +57,8 @@ func compareRuns(t *testing.T, straight, forked *RunResult) {
 	if straight.CPU != forked.CPU {
 		t.Errorf("cpu stats diverged:\n straight %+v\n forked   %+v", straight.CPU, forked.CPU)
 	}
-	if *straight.Arch != *forked.Arch {
-		t.Errorf("architectural state diverged")
+	if d := straight.Arch.Diff(forked.Arch, isa.StateCompare{}); len(d) != 0 {
+		t.Errorf("architectural state diverged: %v", d)
 	}
 	if (straight.Core == nil) != (forked.Core == nil) {
 		t.Fatalf("core stats presence diverged")
@@ -344,7 +345,7 @@ func TestForkPolicyMatrixBitIdentical(t *testing.T) {
 func straightRuns(t *testing.T, e *Engine, jobs []Job) []*RunResult {
 	t.Helper()
 	out := make([]*RunResult, len(jobs))
-	err := e.Map(context.Background(), len(jobs), func(ctx context.Context, i int) error {
+	err := e.each(context.Background(), len(jobs), func(ctx context.Context, i int) error {
 		build, err := e.Cache().Build(jobs[i].Compile)
 		if err != nil {
 			return err

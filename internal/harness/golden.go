@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -91,15 +92,16 @@ func CollectGolden(cfg ExpConfig) (*GoldenCorpus, error) {
 	if cfg.Engine == nil {
 		cfg.Engine = NewEngine(EngineConfig{})
 	}
-	o2, err := RunFig7(cfg, compiler.O2)
+	ctx := context.Background()
+	o2, err := RunFig7Context(ctx, cfg, compiler.O2)
 	if err != nil {
 		return nil, err
 	}
-	o3, err := RunFig7(cfg, compiler.O3)
+	o3, err := RunFig7Context(ctx, cfg, compiler.O3)
 	if err != nil {
 		return nil, err
 	}
-	t1, err := RunTable1(cfg)
+	t1, err := RunTable1Context(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}

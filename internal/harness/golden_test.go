@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"flag"
 	"sync"
 	"testing"
@@ -33,7 +34,7 @@ func goldenFig7O2(t *testing.T) (ExpConfig, *Fig7Result) {
 	goldenO2.once.Do(func() {
 		goldenO2.cfg = GoldenExpConfig()
 		goldenO2.cfg.Engine = NewEngine(EngineConfig{Parallelism: 4})
-		goldenO2.res, goldenO2.err = RunFig7(goldenO2.cfg, compiler.O2)
+		goldenO2.res, goldenO2.err = RunFig7Context(context.Background(), goldenO2.cfg, compiler.O2)
 	})
 	if goldenO2.err != nil {
 		t.Fatal(goldenO2.err)
@@ -68,14 +69,24 @@ func TestGoldenCorpus(t *testing.T) {
 			g.Scale, cfg.Scale)
 	}
 
+	ctx := context.Background()
 	cfg, o2 := goldenFig7O2(t)
-	o3, err := RunFig7(cfg, compiler.O3)
+	o3, err := RunFig7Context(ctx, cfg, compiler.O3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t1, err := RunTable1(cfg)
+	// Every Table 1 run is an engine job, so the result cache accounts
+	// for all 51: its 17 training runs and 17 filtered O3 runs are new
+	// simulations, and its 17 O3 base runs are Fig. 7(b)'s base runs.
+	hitsBefore, missesBefore := cfg.Engine.Results().Stats()
+	t1, err := RunTable1Context(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	hits, misses := cfg.Engine.Results().Stats()
+	if hits-hitsBefore != 17 || misses-missesBefore != 34 {
+		t.Errorf("table1 added %d result-cache hits and %d misses, want 17 and 34",
+			hits-hitsBefore, misses-missesBefore)
 	}
 	for _, d := range g.Compare(o2, o3, t1, Table2FromFig7(o2)) {
 		t.Error(d)
@@ -85,8 +96,8 @@ func TestGoldenCorpus(t *testing.T) {
 	// are Fig. 7(a)'s base runs and its monitor runs Table 1's training
 	// runs. It is checked here rather than pinned in the corpus, which
 	// stays as it is.
-	_, missesBefore := cfg.Engine.Results().Stats()
-	f11, err := RunFig11(cfg)
+	_, missesBefore = cfg.Engine.Results().Stats()
+	f11, err := RunFig11Context(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

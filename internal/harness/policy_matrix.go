@@ -50,11 +50,6 @@ type PolicyMatrixResult struct {
 	Rows     []PolicyMatrixRow
 }
 
-// RunPolicyMatrix runs the matrix with a background context.
-func RunPolicyMatrix(cfg ExpConfig) (*PolicyMatrixResult, error) {
-	return RunPolicyMatrixContext(context.Background(), cfg)
-}
-
 // RunPolicyMatrixContext runs the matrix on the engine: per benchmark, one
 // baseline job plus one ADORE job per column, all sharing a single O2
 // compile through the build cache. Each column's RunConfig differs only in
@@ -212,7 +207,7 @@ type PolicyGolden struct {
 
 // CollectPolicyGolden runs the matrix and pins it.
 func CollectPolicyGolden(cfg ExpConfig) (*PolicyGolden, error) {
-	m, err := RunPolicyMatrix(cfg)
+	m, err := RunPolicyMatrixContext(context.Background(), cfg)
 	if err != nil {
 		return nil, err
 	}

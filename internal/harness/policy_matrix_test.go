@@ -35,7 +35,7 @@ func straightPolicyMatrix(t *testing.T) *PolicyMatrixResult {
 	straightMatrix.once.Do(func() {
 		cfg := GoldenExpConfig()
 		cfg.Engine = NewEngine(EngineConfig{})
-		straightMatrix.m, straightMatrix.err = RunPolicyMatrix(cfg)
+		straightMatrix.m, straightMatrix.err = RunPolicyMatrixContext(context.Background(), cfg)
 	})
 	if straightMatrix.err != nil {
 		t.Fatal(straightMatrix.err)

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/compiler"
@@ -16,7 +17,7 @@ func TestFig7aShape(t *testing.T) {
 	}
 	cfg := DefaultExpConfig()
 	cfg.Scale = 0.3
-	res, err := RunFig7(cfg, compiler.O2)
+	res, err := RunFig7Context(context.Background(), cfg, compiler.O2)
 	if err != nil {
 		t.Fatal(err)
 	}

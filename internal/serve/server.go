@@ -249,11 +249,11 @@ func (s *Server) handleRun(w http.ResponseWriter, req *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := s.eng.RunJob(ctx, "serve/run", job)
+		runs, err := s.eng.RunJobs(ctx, "serve/run", []harness.Job{job})
 		if err != nil {
 			return nil, err
 		}
-		return marshalBody(runResponse(rr, res))
+		return marshalBody(runResponse(rr, runs[0]))
 	})
 }
 
