@@ -246,7 +246,9 @@ func WithSelector(rc RunConfig) RunConfig {
 func Policies() []string { return core.PrefetchPolicyNames() }
 
 // Run executes a compiled workload.
-func Run(b *Build, rc RunConfig) (*Result, error) { return harness.Run(b, rc) }
+func Run(b *Build, rc RunConfig) (*Result, error) {
+	return harness.RunContext(context.Background(), b, rc)
+}
 
 // RunContext is Run with cancellation threaded through the simulator: the
 // CPU polls ctx between bundles, so long simulations stop promptly.
@@ -298,7 +300,9 @@ func Fig11(cfg ExpConfig) (*Fig11Result, error) {
 }
 
 // PolicyMatrix runs every benchmark under every registered prefetch policy
-// and the runtime selector, against the no-prefetching baseline.
+// and the runtime selector, against the no-prefetching baseline. Each
+// benchmark's policy columns share one warmup on the fork engine.
 func PolicyMatrix(cfg ExpConfig) (*PolicyMatrixResult, error) {
-	return harness.RunPolicyMatrixContext(context.Background(), cfg)
+	m, _, err := harness.RunPolicyMatrixForkedContext(context.Background(), cfg)
+	return m, err
 }

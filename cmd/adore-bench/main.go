@@ -3,7 +3,6 @@
 // Usage:
 //
 //	adore-bench [-exp fig7a|fig7b|table1|table2|fig8|fig9|fig10|fig11|policymatrix|all] [-scale 1.0] [-j 0] [-json]
-//	adore-bench -exp policymatrix -fork [-fork-json out.json]
 //	adore-bench ... [-cpuprofile cpu.prof] [-memprofile mem.prof]
 //	adore-bench ... [-metrics-addr :8123] [-linger 30s]
 //
@@ -13,11 +12,11 @@
 // 1 = serial), one build cache is shared across all selected experiments,
 // and ^C cancels in-flight simulations cleanly.
 //
-// The second form runs the policy-matrix sweep on the checkpoint/fork
-// engine (DESIGN.md §16); -fork-json, which requires -fork, writes its
-// throughput summary. Either flag with an -exp that skips the policy
-// matrix is a usage error (exit status 2). One observed ADORE run with
-// its event stream exported is adore-run's job (adore-run -trace and
+// The policy matrix runs on the checkpoint/fork engine (DESIGN.md §16):
+// each benchmark's policy columns share one warmup. Its text output ends
+// with a "fork engine:" line, and -json adds the throughput summary as a
+// "_fork" block (BENCH_fork.json is one). One observed ADORE run with its
+// event stream exported is adore-run's job (adore-run -trace and
 // -events).
 //
 // -metrics-addr serves live telemetry while the sweeps run — Prometheus
@@ -55,17 +54,7 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /status and /debug/pprof on this address while running (e.g. :8123)")
 	linger := flag.Duration("linger", 0, "keep the -metrics-addr endpoint up this long after the sweeps finish")
-	fork := flag.Bool("fork", false, "run the policy-matrix sweep on the checkpoint/fork engine (DESIGN.md §16): one warmup probe per (workload, options) group, policy continuations resume from its snapshot")
-	forkJSON := flag.String("fork-json", "", "with -fork: write the fork-engine throughput summary as JSON to this file")
 	flag.Parse()
-	// -fork and -fork-json only shape the policy-matrix sweep; anywhere
-	// else they would be silently ignored and -fork-json write nothing.
-	if *forkJSON != "" && !*fork {
-		usageError("-fork-json requires -fork")
-	}
-	if *fork && *exp != "all" && *exp != "policymatrix" {
-		usageError("-fork applies only to -exp policymatrix (or all)")
-	}
 
 	// Host profiling of the simulator itself (DESIGN.md §12): profiles are
 	// written on the normal exit paths; a run that dies via cli.Fatal exits
@@ -169,10 +158,6 @@ func main() {
 	})
 	var forkStats *harness.ForkStats
 	run("policymatrix", func(ctx context.Context) (renderer, error) {
-		if !*fork {
-			r, err := harness.RunPolicyMatrixContext(ctx, cfg)
-			return r, err
-		}
 		r, stats, err := harness.RunPolicyMatrixForkedContext(ctx, cfg)
 		forkStats = stats
 		return r, err
@@ -182,15 +167,10 @@ func main() {
 		cli.Fatal(fmt.Errorf("unknown experiment %q (want fig7a fig7b table1 table2 fig8 fig9 fig10 fig11 policymatrix all)", *exp))
 	}
 
-	if forkStats != nil {
-		if *forkJSON != "" {
-			cli.Fatal(writeForkJSON(*forkJSON, *scale, forkStats))
-		}
-		if !*jsonOut {
-			fmt.Printf("fork engine: %d groups, %d forked runs, %d merged runs, %d straight runs, warmup %d -> %d cycles (%.1fx reduction)\n",
-				forkStats.Groups, forkStats.ForkedRuns, forkStats.MergedRuns, forkStats.StraightRuns,
-				forkStats.WarmupStraight, forkStats.WarmupForked, forkStats.WarmupReduction())
-		}
+	if forkStats != nil && !*jsonOut {
+		fmt.Printf("fork engine: %d groups, %d forked runs, %d merged runs, %d straight runs, warmup %d -> %d cycles (%.1fx reduction)\n",
+			forkStats.Groups, forkStats.ForkedRuns, forkStats.MergedRuns, forkStats.StraightRuns,
+			forkStats.WarmupStraight, forkStats.WarmupForked, forkStats.WarmupReduction())
 	}
 
 	hits, misses := eng.Cache().Stats()
@@ -222,14 +202,6 @@ func main() {
 		eng.Parallelism(), misses, hits, rmisses, rhits, time.Since(start).Seconds())
 }
 
-// usageError reports a bad flag combination the way the flag package
-// reports a bad flag: message, usage, exit status 2.
-func usageError(msg string) {
-	fmt.Fprintln(os.Stderr, "error:", msg)
-	flag.Usage()
-	os.Exit(2)
-}
-
 // renderer is any experiment result that can print itself as text.
 type renderer interface{ Render() string }
 
@@ -257,19 +229,4 @@ func forkSummary(scale float64, s *harness.ForkStats) map[string]any {
 			"Forked results are bit-identical to straight runs; TestForkPolicyMatrixBitIdentical asserts the full matrix JSON byte-for-byte.",
 		},
 	}
-}
-
-// writeForkJSON writes the fork-engine summary (BENCH_fork.json).
-func writeForkJSON(path string, scale float64, s *harness.ForkStats) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(forkSummary(scale, s)); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

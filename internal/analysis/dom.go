@@ -141,17 +141,6 @@ func (c *CFG) NaturalLoops(d *DomTree) []*Loop {
 	return loops
 }
 
-// InnermostLoopAt returns the smallest loop containing block id, or nil.
-func InnermostLoopAt(loops []*Loop, id int) *Loop {
-	var best *Loop
-	for _, l := range loops {
-		if l.Contains(id) && (best == nil || len(l.Blocks) < len(best.Blocks)) {
-			best = l
-		}
-	}
-	return best
-}
-
 // Straighten linearizes a loop whose body is a single cycle: from the
 // header, each block has exactly one successor inside the loop, ending back
 // at the header. It returns the slot positions in execution order, or

@@ -116,7 +116,3 @@ func buildChain(m *memsys.Memory, base uint64, n int64, spec InitSpec) {
 		m.Write64(addr(order[i]), addr((order[i]*31+7)%n))
 	}
 }
-
-// ChainHead returns the address of the first node of a chain array laid
-// out by layoutArrays (node 0 is always the traversal head).
-func (l *Layout) ChainHead(name string) uint64 { return l.Base[name] }

@@ -493,9 +493,6 @@ func (c *Controller) UnpatchAll() error {
 // Pool returns the trace pool, for inspection.
 func (c *Controller) Pool() *TracePool { return c.pool }
 
-// Detector exposes the phase detector, for inspection.
-func (c *Controller) Detector() *PhaseDetector { return c.det }
-
 // prefetchContext snapshots the runtime signals a prefetch policy may
 // consult. Read-only: gathering it never perturbs the machine, so the
 // default (paper) policy — which looks only at PhaseCPI — behaves exactly

@@ -160,30 +160,6 @@ func (u *UEB) Samples() []pmu.Sample {
 	return out
 }
 
-// LastWindows returns up to n most recent window metrics, oldest first.
-func (u *UEB) LastWindows(n int) []WindowMetrics {
-	ws := u.Windows()
-	if len(ws) > n {
-		ws = ws[len(ws)-n:]
-	}
-	return ws
-}
-
-// LastSamples returns the samples of the up-to-n most recent windows,
-// oldest first — the "most recent delinquent loads" view of §3(a), as
-// opposed to the full-UEB view trace selection uses for path profiles.
-func (u *UEB) LastSamples(n int) []pmu.Sample {
-	start := len(u.windows) - n
-	if start < 0 {
-		start = 0
-	}
-	var out []pmu.Sample
-	for _, w := range u.windows[start:] {
-		out = append(out, w.samples...)
-	}
-	return out
-}
-
 // SamplesSince returns the samples of every buffered window with sequence
 // number >= seq — used to scope delinquent-load identification to exactly
 // the windows that established a stable phase.

@@ -88,12 +88,6 @@ func (c *CPU) EnableProfiler(interval uint64) {
 	c.AddPollHook(interval, c.profSample)
 }
 
-// ProfilerEnabled reports whether EnableProfiler has been called.
-func (c *CPU) ProfilerEnabled() bool { return c.prof.enabled }
-
-// ProfileInterval returns the sampling interval (0 when disabled).
-func (c *CPU) ProfileInterval() uint64 { return c.prof.interval }
-
 // profSample is the sampler's poll hook. It always returns 0: the
 // profiler observes the simulation and must never perturb it.
 func (c *CPU) profSample(now uint64) uint64 {

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -174,7 +175,7 @@ func TestStaticSlicerAgreement(t *testing.T) {
 					}
 				}
 			}
-			if _, err := Run(build, cfg); err != nil {
+			if _, err := RunContext(context.Background(), build, cfg); err != nil {
 				t.Fatalf("%s: run: %v", name, err)
 			}
 		}

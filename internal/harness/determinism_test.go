@@ -24,11 +24,11 @@ func TestRunDeterminism(t *testing.T) {
 	rc := DefaultRunConfig()
 	rc.ADORE = true
 
-	first, err := Run(build, rc)
+	first, err := RunContext(context.Background(), build, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := Run(build, rc)
+	second, err := RunContext(context.Background(), build, rc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,25 +70,9 @@ func (r *DiffReport) String() string {
 	return s
 }
 
-// DiffImage runs img through both engines under cfg and compares. See
-// DiffAgainst for the checks performed.
-func DiffImage(img *program.Image, cfg RunConfig) (*DiffReport, error) {
-	return DiffImageContext(context.Background(), img, cfg)
-}
-
-// DiffImageContext is DiffImage with cancellation (CPU side only; the
-// oracle runs orders of magnitude faster than the machine it checks).
-func DiffImageContext(ctx context.Context, img *program.Image, cfg RunConfig) (*DiffReport, error) {
-	or, err := RunOracle(img, cfg.MaxInsts)
-	if err != nil {
-		return nil, err
-	}
-	return DiffAgainstContext(ctx, or, img, cfg)
-}
-
-// DiffAgainst compares one machine run against an already-computed oracle
-// result — the cheap path when sweeping many machine configurations (O2/O3
-// × patching × observability) over the same image. The checks:
+// DiffAgainstContext compares one machine run against an already-computed
+// oracle result — the cheap path when sweeping many machine configurations
+// (O2/O3 × patching × observability) over the same image. The checks:
 //
 //   - Final architectural register state must match bit-for-bit; with ADORE
 //     attached, the runtime-reserved scratch state (r27-r30, p6) is excluded.
@@ -105,11 +89,6 @@ func DiffImageContext(ctx context.Context, img *program.Image, cfg RunConfig) (*
 //     hides.
 //   - Under ADORE, Controller.UnpatchAll must restore the original text
 //     segment bundle-for-bundle (the paper's "the replaced bundle is saved").
-func DiffAgainst(or *OracleResult, img *program.Image, cfg RunConfig) (*DiffReport, error) {
-	return DiffAgainstContext(context.Background(), or, img, cfg)
-}
-
-// DiffAgainstContext is DiffAgainst with cancellation.
 func DiffAgainstContext(ctx context.Context, or *OracleResult, img *program.Image, cfg RunConfig) (*DiffReport, error) {
 	res, err := RunImageContext(ctx, img, cfg)
 	if err != nil {

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -13,9 +14,9 @@ import (
 // workload, compiled at O2 and O3, runs through the reference oracle and
 // the full machine in all four machine modes — patching {off,on} ×
 // observability {off,on} — and the engines must agree on final
-// architectural state, memory, and counters (see DiffAgainst). The oracle
-// runs once per (workload, level); the four machine runs compare against
-// that single result. The (workload, level) cells are independent and run
+// architectural state, memory, and counters (see DiffAgainstContext).
+// The oracle runs once per (workload, level); the four machine runs
+// compare against that single result. The (workload, level) cells are independent and run
 // in parallel; the patch total is checked once all of them are done.
 func TestDifferentialAllWorkloads(t *testing.T) {
 	const scale = 0.02
@@ -62,7 +63,7 @@ func TestDifferentialAllWorkloads(t *testing.T) {
 					if mode.adore {
 						cfg.Core = fastCore()
 					}
-					rep, err := DiffAgainst(or, build.Image, cfg)
+					rep, err := DiffAgainstContext(context.Background(), or, build.Image, cfg)
 					if err != nil {
 						t.Fatalf("%s: %v", mode.name, err)
 					}
@@ -94,7 +95,7 @@ func TestDifferentialCatchesPerturbation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := DiffAgainst(or, build.Image, DefaultRunConfig())
+	rep, err := DiffAgainstContext(context.Background(), or, build.Image, DefaultRunConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestDifferentialCatchesPerturbation(t *testing.T) {
 
 	// One flipped register bit on the oracle side must be reported.
 	or.Arch.GR[9] ^= 1
-	regRep, err := DiffAgainst(or, build.Image, DefaultRunConfig())
+	regRep, err := DiffAgainstContext(context.Background(), or, build.Image, DefaultRunConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestDifferentialCatchesPerturbation(t *testing.T) {
 	// One flipped memory byte must be reported.
 	v := or.Mem.ReadN(compiler.DataBase, 1)
 	or.Mem.WriteN(compiler.DataBase, 1, v^0xff)
-	memRep, err := DiffAgainst(or, build.Image, DefaultRunConfig())
+	memRep, err := DiffAgainstContext(context.Background(), or, build.Image, DefaultRunConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

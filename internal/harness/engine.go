@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/compiler"
+	"repro/internal/core"
 	"repro/internal/flight"
 	"repro/internal/metrics"
 	"repro/internal/program"
@@ -118,7 +119,7 @@ func (e *Engine) report(p Progress) {
 }
 
 // each runs fn(i) for every i in [0, n) on the worker pool; it is the
-// pool under RunJobs and RunJobsForked. Callers slot results into their
+// pool under each of RunJobs' phases. Callers slot results into their
 // own output by index, so result order is deterministic regardless of
 // completion order. The first error cancels the context passed to the
 // remaining jobs, stops dispatch, and is returned.
@@ -206,27 +207,208 @@ type Job struct {
 // slotted by index: out[i] belongs to jobs[i] no matter which finished
 // first. Jobs naming the same compile spec share one compile through the
 // build cache.
-func (e *Engine) RunJobs(ctx context.Context, sweep string, jobs []Job) ([]*RunResult, error) {
-	out := make([]*RunResult, len(jobs))
-	sweepStart := time.Now()
-	err := e.each(ctx, len(jobs), func(ctx context.Context, i int) error {
-		var err error
-		out[i], err = e.runJob(ctx, sweep, sweepStart, jobs, i, nil)
-		return err
-	})
-	if err != nil {
-		return nil, err
+//
+// It is the engine's one scheduler, and it forks where it can (DESIGN.md
+// §16): ADORE jobs whose configurations differ only in prefetch
+// policy/selector (and share a compile) form fork groups. Each group's
+// first member runs as the probe — a full run that also captures the
+// divergence-point snapshot — with every other member attached as a
+// lockstep shadow (core.Shadow). A member whose decisions all matched its
+// leader's is merged: it completes as its own engine job, served the
+// leader's run with its own controller statistics, after the leader
+// finishes. The members that diverged resume from the group's one
+// snapshot in rounds. Members that first diverged from the same leader at
+// the same decision with the same outcome may still share a path, so one
+// of them leads and the rest shadow it; the others are known to decide
+// differently and lead in parallel. Whoever diverges from a round's leader
+// waits for the next round. An observed member never merges
+// (core.Controller.AddShadow), so it leads its own continuation. A group
+// without a snapshot made no policy decision, so its members merge with
+// the probe; one left over anyway (it is observed, or its policy does not
+// resolve and it reports its own error) runs straight.
+//
+// Every job that forms no group of two — a non-ADORE, hooked or
+// CaptureDear job, or a lone ADORE configuration — takes runJob's default
+// dispatch, so a sweep without groups (every paper driver's) runs each job
+// once, in index order, exactly as a plain pool would. Results are
+// bit-identical to running every job straight. Probes, un-grouped jobs,
+// each round's leaders and the merged members run on the worker pool in
+// that order, each phase behind the previous one's barrier. Continuations
+// and merged members bypass the result cache (their results are still
+// hermetic, but the probe path must run to produce the snapshot).
+func (e *Engine) RunJobs(ctx context.Context, sweep string, jobs []Job) ([]*RunResult, *ForkStats, error) {
+	type group struct {
+		members []int // job indices; members[0] is the probe
+		snap    *ForkSnapshot
 	}
-	return out, nil
+	groups := map[string]*group{}
+	groupOf := make([]*group, len(jobs))
+	var order []*group
+	for i := range jobs {
+		if !forkable(jobs[i].Config) {
+			continue
+		}
+		key := jobs[i].Compile.Key() + "|" + forkPrefixFingerprint(jobs[i].Config)
+		g := groups[key]
+		if g == nil {
+			g = &group{}
+			groups[key] = g
+			order = append(order, g)
+		}
+		g.members = append(g.members, i)
+		groupOf[i] = g
+	}
+
+	// A rider is a group member that shadowed leader's run: merged with
+	// it at the end, or waiting for a run of its own.
+	type rider struct {
+		job, leader int
+		shadow      *core.Shadow
+	}
+	var (
+		out       = make([]*RunResult, len(jobs))
+		sims      = make([]func(context.Context, *compiler.BuildResult, RunConfig) (*RunResult, error), len(jobs))
+		followers = make([][]int, len(jobs))          // job indices each leader drives as shadows
+		shadows   = make([][]*core.Shadow, len(jobs)) // and their deciders once its run ends
+	)
+	// lead builds the simulation of job i driving the given group-mates as
+	// shadows: a probe capturing g's snapshot, or a continuation resumed
+	// from it.
+	lead := func(i int, g *group, resume *ForkSnapshot, others []int) {
+		cfgs := make([]core.Config, len(others))
+		for k, j := range others {
+			cfgs[k] = jobs[j].Config.Core
+		}
+		followers[i] = others
+		sims[i] = func(ctx context.Context, build *compiler.BuildResult, cfg RunConfig) (*RunResult, error) {
+			var res *RunResult
+			var err error
+			if resume == nil {
+				var snap *ForkSnapshot
+				res, snap, err = runForkProbe(ctx, build.Image, cfg, ForkDivergence, cfgs)
+				g.snap = snap // nil when no boundary was eligible
+			} else {
+				res, err = runImage(ctx, build.Image, cfg, nil, resume, cfgs)
+			}
+			if err != nil {
+				return nil, err
+			}
+			shadows[i] = res.Controller.Shadows()
+			return res, nil
+		}
+	}
+	sweepStart := time.Now()
+	var merged, waiting []rider
+	runPhase := func(phase []int) error {
+		if len(phase) == 0 {
+			return nil
+		}
+		err := e.each(ctx, len(phase), func(ctx context.Context, k int) error {
+			i := phase[k]
+			var err error
+			out[i], err = e.runJob(ctx, sweep, sweepStart, jobs, i, sims[i])
+			return err
+		})
+		for _, i := range phase {
+			for k, sh := range shadows[i] {
+				r := rider{followers[i][k], i, sh}
+				if sh.Merged() {
+					merged = append(merged, r)
+				} else {
+					waiting = append(waiting, r)
+				}
+			}
+		}
+		return err
+	}
+
+	// Phase A: probes, each shadowed by its group-mates, plus every
+	// un-grouped job. A lone policy shares nothing and runs straight.
+	var phase []int
+	for i := range jobs {
+		g := groupOf[i]
+		switch {
+		case g == nil || len(g.members) == 1:
+			phase = append(phase, i)
+		case g.members[0] == i:
+			lead(i, g, nil, g.members[1:])
+			phase = append(phase, i)
+		}
+	}
+	if err := runPhase(phase); err != nil {
+		return nil, nil, err
+	}
+
+	// Continuation rounds: one leader per class of waiting members that
+	// may share a path; the rest of its class shadow it.
+	forked := 0
+	for len(waiting) > 0 {
+		var classes [][]rider
+	next:
+		for _, w := range waiting {
+			for k, c := range classes {
+				if c[0].leader == w.leader && c[0].shadow.SamePath(w.shadow) {
+					classes[k] = append(c, w)
+					continue next
+				}
+			}
+			classes = append(classes, []rider{w})
+		}
+		waiting, phase = nil, phase[:0]
+		for _, c := range classes {
+			g := groupOf[c[0].job]
+			if g.snap == nil {
+				for _, r := range c {
+					phase = append(phase, r.job) // straight
+				}
+				continue
+			}
+			others := make([]int, len(c)-1)
+			for k, r := range c[1:] {
+				others[k] = r.job
+			}
+			lead(c[0].job, g, g.snap, others)
+			phase = append(phase, c[0].job)
+			forked++
+		}
+		if err := runPhase(phase); err != nil {
+			return nil, nil, err
+		}
+	}
+
+	// Merged members, each served its leader's finished run.
+	phase = phase[:0]
+	for _, r := range merged {
+		r := r
+		sims[r.job] = func(context.Context, *compiler.BuildResult, RunConfig) (*RunResult, error) {
+			return mergedResult(out[r.leader], r.shadow), nil
+		}
+		phase = append(phase, r.job)
+	}
+	if err := runPhase(phase); err != nil {
+		return nil, nil, err
+	}
+
+	stats := &ForkStats{ForkedRuns: forked, MergedRuns: len(merged)}
+	stats.StraightRuns = len(jobs) - forked - len(merged)
+	for _, g := range order {
+		if g.snap == nil {
+			continue
+		}
+		stats.Groups++
+		stats.WarmupForked += g.snap.Cycle
+		stats.WarmupStraight += uint64(len(g.members)) * g.snap.Cycle
+	}
+	return out, stats, nil
 }
 
-// runJob runs jobs[i] with the per-job bookkeeping both schedulers share
-// (RunJobs and RunJobsForked): queue-wait, started/in-flight, progress
-// reports, Metrics defaulting, the build, latency/busy time, the result
-// fold and the done report. sim, when non-nil, simulates the job in place
-// of the default dispatch — the fork engine's probes and continuations.
-// The default sends a hook-free job through the result cache, on an engine
-// that has one, and any other job straight to RunContext.
+// runJob runs jobs[i] with RunJobs' per-job bookkeeping: queue-wait,
+// started/in-flight, progress reports, Metrics defaulting, the build,
+// latency/busy time, the result fold and the done report. sim, when
+// non-nil, simulates the job in place of the default dispatch — the fork
+// groups' probes, continuations and merged members. The default sends a
+// hook-free job through the result cache, on an engine that has one, and
+// any other job straight to RunContext.
 func (e *Engine) runJob(ctx context.Context, sweep string, sweepStart time.Time, jobs []Job, i int,
 	sim func(context.Context, *compiler.BuildResult, RunConfig) (*RunResult, error)) (*RunResult, error) {
 	j := &jobs[i]

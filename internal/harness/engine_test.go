@@ -97,7 +97,7 @@ func TestEngineSlotsBoundConcurrentSweeps(t *testing.T) {
 		}
 		go func() {
 			arrived.Add(1)
-			_, err := e.RunJobs(context.Background(), "sweep", []Job{{Name: "mcf", Compile: sp, Config: cfg}})
+			_, _, err := e.RunJobs(context.Background(), "sweep", []Job{{Name: "mcf", Compile: sp, Config: cfg}})
 			errs <- err
 		}()
 	}
@@ -122,24 +122,8 @@ func TestEngineSlotsBoundConcurrentSweeps(t *testing.T) {
 	}
 }
 
-// scheduler is one of the engine's two job schedulers under one
-// signature, so the per-job bookkeeping tests cover both; RunJobs
-// reports no fork statistics.
-type scheduler struct {
-	name string
-	run  func(e *Engine, ctx context.Context, sweep string, jobs []Job) ([]*RunResult, *ForkStats, error)
-}
-
-var (
-	straightScheduler = scheduler{"RunJobs", func(e *Engine, ctx context.Context, sweep string, jobs []Job) ([]*RunResult, *ForkStats, error) {
-		out, err := e.RunJobs(ctx, sweep, jobs)
-		return out, nil, err
-	}}
-	forkScheduler = scheduler{"RunJobsForked", (*Engine).RunJobsForked}
-)
-
 // forkGroupJobs returns two ADORE jobs of one compile that differ only in
-// prefetch policy — a real fork group: under RunJobsForked the first runs
+// prefetch policy — a real fork group: under RunJobs the first runs
 // as the probe and the second resumes from its snapshot.
 func forkGroupJobs(t *testing.T, name string) []Job {
 	t.Helper()
@@ -156,7 +140,7 @@ func forkGroupJobs(t *testing.T, name string) []Job {
 }
 
 // mergeGroupJobs returns mcf's paper, throttle, selector and nextline
-// columns at golden scale: under RunJobsForked paper probes, throttle and
+// columns at golden scale: under RunJobs paper probes, throttle and
 // the selector decide exactly as paper does and merge with it, and
 // nextline diverges and resumes from the snapshot.
 func mergeGroupJobs(t *testing.T) []Job {
@@ -174,10 +158,11 @@ func mergeGroupJobs(t *testing.T) []Job {
 	return jobs
 }
 
-// TestEngineProgressEvents checks both schedulers report one start and one
+// TestEngineProgressEvents checks the scheduler reports one start and one
 // done event per job, each labeled with the sweep, its index and the
-// sweep's size — the fork-group case through the probe and continuation
-// paths too, and the merging group through the merged members' jobs.
+// sweep's size — for plain jobs, which form no group and all run
+// straight, for a fork group through the probe and continuation paths,
+// and for a merging group through the merged members' jobs.
 func TestEngineProgressEvents(t *testing.T) {
 	b, err := workloads.ByName("mcf", 0.02)
 	if err != nil {
@@ -190,15 +175,13 @@ func TestEngineProgressEvents(t *testing.T) {
 	}
 	cases := []struct {
 		name       string
-		sched      scheduler
 		jobs       []Job
 		wantGroups int
 		wantMerged int
 	}{
-		{"RunJobs", straightScheduler, plain, 0, 0},
-		{"RunJobsForked", forkScheduler, plain, 0, 0},
-		{"RunJobsForked/fork-group", forkScheduler, forkGroupJobs(t, "mcf"), 1, 0},
-		{"RunJobsForked/merging-group", forkScheduler, mergeGroupJobs(t), 1, 2},
+		{"RunJobs", plain, 0, 0},
+		{"RunJobs/fork-group", forkGroupJobs(t, "mcf"), 1, 0},
+		{"RunJobs/merging-group", mergeGroupJobs(t), 1, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -217,7 +200,7 @@ func TestEngineProgressEvents(t *testing.T) {
 					t.Errorf("bad progress event %+v", p)
 				}
 			}})
-			_, stats, err := tc.sched.run(e, context.Background(), "test", tc.jobs)
+			_, stats, err := e.RunJobs(context.Background(), "test", tc.jobs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -226,9 +209,11 @@ func TestEngineProgressEvents(t *testing.T) {
 					t.Errorf("job %d: starts=%d dones=%d, want 1/1", i, starts[i], dones[i])
 				}
 			}
-			if stats != nil && (stats.Groups != tc.wantGroups || stats.ForkedRuns != tc.wantGroups ||
-				stats.MergedRuns != tc.wantMerged) {
+			if stats.Groups != tc.wantGroups || stats.ForkedRuns != tc.wantGroups || stats.MergedRuns != tc.wantMerged {
 				t.Errorf("fork stats %+v, want %d group(s) and forked run(s), %d merged", stats, tc.wantGroups, tc.wantMerged)
+			}
+			if tc.wantGroups == 0 && stats.StraightRuns != len(tc.jobs) {
+				t.Errorf("plain sweep: %d straight runs, want every one of its %d jobs", stats.StraightRuns, len(tc.jobs))
 			}
 		})
 	}
@@ -298,7 +283,7 @@ func TestRunJobsSharesCompiles(t *testing.T) {
 	sp := benchSpec(b, 0.05, compiler.O2)
 	adore := DefaultRunConfig()
 	adore.ADORE = true
-	runs, err := e.RunJobs(context.Background(), "test", []Job{
+	runs, _, err := e.RunJobs(context.Background(), "test", []Job{
 		{Name: "gzip/base", Compile: sp, Config: DefaultRunConfig()},
 		{Name: "gzip/adore", Compile: sp, Config: adore},
 	})

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -51,7 +52,7 @@ func eventStreamRuns(t *testing.T) []eventGoldenRun {
 		rc.ADORE = true
 		rc.Observe = true
 		s.mut(&rc)
-		res, err := Run(obsBuild(t, s.bench, 0.1), rc)
+		res, err := RunContext(context.Background(), obsBuild(t, s.bench, 0.1), rc)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -113,7 +113,7 @@ func RunFig7Context(ctx context.Context, cfg ExpConfig, level compiler.OptLevel)
 			Job{Name: b.Name + "/adore", Compile: sp, Config: adore},
 		)
 	}
-	runs, err := cfg.engine().RunJobs(ctx, "fig7/"+level.String(), jobs)
+	runs, _, err := cfg.engine().RunJobs(ctx, "fig7/"+level.String(), jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -208,7 +208,7 @@ func RunTable1Context(ctx context.Context, cfg ExpConfig) (*Table1Result, error)
 	for i, b := range benches {
 		train[i] = Job{Name: b.Name + "/profile", Compile: benchSpec(b, cfg.Scale, compiler.O2), Config: cfg.monitorConfig()}
 	}
-	profiles, err := e.RunJobs(ctx, "table1/profile", train)
+	profiles, _, err := e.RunJobs(ctx, "table1/profile", train)
 	if err != nil {
 		return nil, err
 	}
@@ -230,7 +230,7 @@ func RunTable1Context(ctx context.Context, cfg ExpConfig) (*Table1Result, error)
 			Job{Name: b.Name + "/filtered", Compile: filtered, Config: cfg.runConfig()},
 		)
 	}
-	runs, err := e.RunJobs(ctx, "table1/o3", jobs)
+	runs, _, err := e.RunJobs(ctx, "table1/o3", jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -361,7 +361,7 @@ func RunSeriesContext(ctx context.Context, cfg ExpConfig, name string) (*SeriesR
 	with.ADORE = true
 	with.Core = cfg.Core
 	with.RecordSeries = true
-	runs, err := cfg.engine().RunJobs(ctx, "series/"+name, []Job{
+	runs, _, err := cfg.engine().RunJobs(ctx, "series/"+name, []Job{
 		{Name: name + "/without", Compile: sp, Config: without},
 		{Name: name + "/with", Compile: sp, Config: with},
 	})
@@ -454,7 +454,7 @@ func RunFig10Context(ctx context.Context, cfg ExpConfig) (*Fig10Result, error) {
 			Job{Name: b.Name + "/original", Compile: orig, Config: cfg.runConfig()},
 		)
 	}
-	runs, err := cfg.engine().RunJobs(ctx, "fig10", jobs)
+	runs, _, err := cfg.engine().RunJobs(ctx, "fig10", jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -513,7 +513,7 @@ func RunFig11Context(ctx context.Context, cfg ExpConfig) (*Fig11Result, error) {
 			Job{Name: b.Name + "/monitor", Compile: sp, Config: cfg.monitorConfig()},
 		)
 	}
-	runs, err := cfg.engine().RunJobs(ctx, "fig11", jobs)
+	runs, _, err := cfg.engine().RunJobs(ctx, "fig11", jobs)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/compiler"
@@ -35,14 +36,14 @@ func TestExtensionOptimizeSWPLoops(t *testing.T) {
 	}
 
 	rc := DefaultRunConfig()
-	base, err := Run(build, rc)
+	base, err := RunContext(context.Background(), build, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	rc.ADORE = true
 	rc.Core = extCore()
-	stock, err := Run(build, rc)
+	stock, err := RunContext(context.Background(), build, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestExtensionOptimizeSWPLoops(t *testing.T) {
 	}
 
 	rc.Core.OptimizeSWPLoops = true
-	ext, err := Run(build, rc)
+	ext, err := RunContext(context.Background(), build, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,13 +114,13 @@ func TestExtensionPhaseTable(t *testing.T) {
 	rc := DefaultRunConfig()
 	rc.ADORE = true
 	rc.Core = extCore()
-	stock, err := Run(build, rc)
+	stock, err := RunContext(context.Background(), build, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	rc.Core.PhaseTable = true
-	ext, err := Run(build, rc)
+	ext, err := RunContext(context.Background(), build, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,14 +179,14 @@ func TestExtensionStrideProfiling(t *testing.T) {
 		t.Fatal(err)
 	}
 	rc := DefaultRunConfig()
-	base, err := Run(build, rc)
+	base, err := RunContext(context.Background(), build, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	rc.ADORE = true
 	rc.Core = extCore()
-	stock, err := Run(build, rc)
+	stock, err := RunContext(context.Background(), build, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func TestExtensionStrideProfiling(t *testing.T) {
 
 	rc.Core.StrideProfiling = true
 	rc.Observe = true
-	ext, err := Run(build, rc)
+	ext, err := RunContext(context.Background(), build, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +246,7 @@ func TestExtensionStrideProfilingRejectsIrregular(t *testing.T) {
 	rc.ADORE = true
 	rc.Core = extCore()
 	rc.Core.StrideProfiling = true
-	ext, err := Run(build, rc)
+	ext, err := RunContext(context.Background(), build, rc)
 	if err != nil {
 		t.Fatal(err)
 	}

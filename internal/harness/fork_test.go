@@ -126,13 +126,13 @@ func TestForkEquivalenceSuite(t *testing.T) {
 					}
 					// The probe itself must be unperturbed by capturing:
 					// identical to a plain straight run of its config.
-					probeStraight, err := RunImage(build.Image, probeCfg)
+					probeStraight, err := RunImageContext(context.Background(), build.Image, probeCfg)
 					if err != nil {
 						t.Fatal(err)
 					}
 					compareRuns(t, probeStraight, probeRes)
 
-					straight, err := RunImage(build.Image, contCfg)
+					straight, err := RunImageContext(context.Background(), build.Image, contCfg)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -194,7 +194,7 @@ func TestForkEquivalenceObserved(t *testing.T) {
 			if snap == nil {
 				t.Fatalf("%s grew no snapshot — pick a workload that patches at golden scale", wl)
 			}
-			straight, err := RunImage(build.Image, mk("nextline"))
+			straight, err := RunImageContext(context.Background(), build.Image, mk("nextline"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -268,7 +268,7 @@ func TestForkProbeCaptureMin(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := forkRunConfig(base.Core, "paper", false)
-	straight, err := RunImage(build.Image, cfg)
+	straight, err := RunImageContext(context.Background(), build.Image, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,47 +296,82 @@ func TestForkProbeCaptureMin(t *testing.T) {
 }
 
 // TestForkPolicyMatrixBitIdentical is the sweep-level acceptance test:
-// the forked policy matrix must be byte-identical (as JSON) to the
-// straight engine's, and must pass the checked-in policy golden
-// unmodified. The fork statistics must show real warmup sharing.
+// the policy matrix from the one production driver, whose RunJobs forks
+// each benchmark's ADORE columns, must be byte-identical (as JSON) to the
+// matrix assembled from straight runs of the same jobs (straightRuns, one
+// RunContext each, no scheduler code shared) — at the golden config and
+// at the smoke config CI's adore-bench step sweeps (DefaultExpConfig at
+// scale 0.05). The golden-config matrix must pass the checked-in policy
+// golden unmodified. The fork statistics must show real warmup sharing,
+// merge at least the golden config's 49 members, and account for every
+// job exactly once.
 func TestForkPolicyMatrixBitIdentical(t *testing.T) {
-	straight := straightPolicyMatrix(t)
-	fcfg := GoldenExpConfig()
-	fcfg.Engine = NewEngine(EngineConfig{})
-	forked, stats, err := RunPolicyMatrixForkedContext(context.Background(), fcfg)
-	if err != nil {
-		t.Fatal(err)
+	smoke := DefaultExpConfig()
+	smoke.Scale = 0.05
+	cases := []struct {
+		name   string
+		cfg    ExpConfig
+		golden bool
+	}{
+		{"golden", GoldenExpConfig(), true},
+		{"smoke", smoke, false},
 	}
-	sj, err := json.Marshal(straight)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fj, err := json.Marshal(forked)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(sj) != string(fj) {
-		t.Errorf("forked matrix is not byte-identical to straight matrix:\n straight %s\n forked   %s", sj, fj)
-	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var forked *PolicyMatrixResult
+			var stats *ForkStats
+			if tc.golden {
+				forked, stats = goldenPolicyMatrix(t)
+			} else {
+				cfg := tc.cfg
+				cfg.Engine = NewEngine(EngineConfig{})
+				var err error
+				if forked, stats, err = RunPolicyMatrixForkedContext(context.Background(), cfg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			benches, cols, jobs := policyMatrixJobs(tc.cfg)
+			straight := policyMatrixResult(benches, cols, straightRuns(t, NewEngine(EngineConfig{}), jobs))
+			sj, err := json.Marshal(straight)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fj, err := json.Marshal(forked)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(sj) != string(fj) {
+				t.Errorf("forked matrix is not byte-identical to straight runs:\n straight %s\n forked   %s", sj, fj)
+			}
 
-	g, err := LoadPolicyGolden(policyGoldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range g.Compare(forked) {
-		t.Error(d)
-	}
+			if tc.golden {
+				g, err := LoadPolicyGolden(policyGoldenPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, d := range g.Compare(forked) {
+					t.Error(d)
+				}
+			}
 
-	if stats.Groups == 0 || stats.ForkedRuns == 0 {
-		t.Fatalf("no fork groups formed: %+v", stats)
+			if stats.Groups == 0 || stats.ForkedRuns == 0 {
+				t.Fatalf("no fork groups formed: %+v", stats)
+			}
+			// Every group shares one warmup across its 5 ADORE columns (4
+			// policies + selector), so the grouped warmup reduction is
+			// exactly the member count.
+			if r := stats.WarmupReduction(); r < 4.9 {
+				t.Errorf("warmup reduction %.2f×, want ~5× (stats %+v)", r, stats)
+			}
+			if stats.MergedRuns < 49 {
+				t.Errorf("%d merged runs, want at least 49 (stats %+v)", stats.MergedRuns, stats)
+			}
+			if n := stats.StraightRuns + stats.ForkedRuns + stats.MergedRuns; n != len(jobs) {
+				t.Errorf("straight + forked + merged = %d, want the %d jobs (stats %+v)", n, len(jobs), stats)
+			}
+			t.Logf("fork stats: %+v (%.1f× warmup reduction)", stats, stats.WarmupReduction())
+		})
 	}
-	// Every group shares one warmup across its 5 ADORE columns (4
-	// policies + selector), so the grouped warmup reduction is exactly
-	// the member count.
-	if r := stats.WarmupReduction(); r < 4.9 {
-		t.Errorf("warmup reduction %.2f×, want ~5× (stats %+v)", r, stats)
-	}
-	t.Logf("fork stats: %+v (%.1f× warmup reduction)", stats, stats.WarmupReduction())
 }
 
 // straightRuns runs each job straight on e, keeping the architectural
@@ -366,7 +401,7 @@ func straightRuns(t *testing.T, e *Engine, jobs []Job) []*RunResult {
 
 // TestForkMergedMembersMatchStraightRuns sends every ADORE member of the
 // golden-scale policy matrix (17 workloads × 4 policies + selector)
-// through RunJobsForked and demands each result be bit-identical to the
+// through RunJobs and demands each result be bit-identical to the
 // straight run of that member's own configuration — probes that carried
 // shadows, continuations resumed in rounds, and merged members served
 // their leader's run alike, selector ledgers (PolicySelections,
@@ -381,7 +416,7 @@ func TestForkMergedMembersMatchStraightRuns(t *testing.T) {
 		}
 	}
 	want := straightRuns(t, e, jobs)
-	out, stats, err := e.RunJobsForked(context.Background(), "merge-test", jobs)
+	out, stats, err := e.RunJobs(context.Background(), "merge-test", jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +449,7 @@ func TestForkObservedGroupNeverMerges(t *testing.T) {
 			}
 			e := NewEngine(EngineConfig{})
 			want := straightRuns(t, e, jobs)
-			out, stats, err := e.RunJobsForked(context.Background(), "observed", jobs)
+			out, stats, err := e.RunJobs(context.Background(), "observed", jobs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -481,14 +516,14 @@ func TestForkGroupBadPolicyFailsItself(t *testing.T) {
 	jobs := forkGroupJobs(t, "mcf")
 	jobs[1].Name = "mcf/bogus"
 	jobs[1].Config.Core.Policy = "bogus"
-	_, _, err := NewEngine(EngineConfig{}).RunJobsForked(context.Background(), "test", jobs)
+	_, _, err := NewEngine(EngineConfig{}).RunJobs(context.Background(), "test", jobs)
 	if err == nil || !strings.HasPrefix(err.Error(), "mcf/bogus: ") || !strings.Contains(err.Error(), "unknown prefetch policy") {
 		t.Fatalf("err = %v, want mcf/bogus's unknown-policy error", err)
 	}
 }
 
-// BenchmarkForkSweep times the forked policy-matrix sweep; benchstat
-// rows against the straight engine quantify the throughput win.
+// BenchmarkForkSweep times the policy-matrix sweep on the fork engine, with
+// its warmup reduction and merged-run count.
 func BenchmarkForkSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := GoldenExpConfig()

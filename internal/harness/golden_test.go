@@ -129,14 +129,14 @@ func singleBenchFig7(t *testing.T, cfg ExpConfig, name string, level compiler.Op
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := Run(build, cfg.runConfig())
+	base, err := RunContext(context.Background(), build, cfg.runConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	ac := cfg.runConfig()
 	ac.ADORE = true
 	ac.Core = cfg.Core
-	adore, err := Run(build, ac)
+	adore, err := RunContext(context.Background(), build, ac)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,7 +112,7 @@ func TestSealedDataMemoryIsolation(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = Run(builds[i%2], rc)
+			results[i], errs[i] = RunContext(context.Background(), builds[i%2], rc)
 		}(i)
 	}
 	wg.Wait()
@@ -122,7 +122,7 @@ func TestSealedDataMemoryIsolation(t *testing.T) {
 		}
 	}
 	for i := 0; i < 2; i++ {
-		res, err := Run(builds[i], rc)
+		res, err := RunContext(context.Background(), builds[i], rc)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -35,11 +36,11 @@ func TestObservedRunDeterminism(t *testing.T) {
 	rc.ADORE = true
 	rc.Observe = true
 
-	first, err := Run(build, rc)
+	first, err := RunContext(context.Background(), build, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := Run(build, rc)
+	second, err := RunContext(context.Background(), build, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestObservedRunDeterminism(t *testing.T) {
 
 	plain := DefaultRunConfig()
 	plain.ADORE = true
-	unobserved, err := Run(build, plain)
+	unobserved, err := RunContext(context.Background(), build, plain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestObservedRunAcceptance(t *testing.T) {
 	rc.ADORE = true
 	rc.Observe = true
 
-	res, err := Run(build, rc)
+	res, err := RunContext(context.Background(), build, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,12 +184,12 @@ func TestObserveOverhead(t *testing.T) {
 	build := obsBuild(t, "mcf", 0.1)
 	rc := DefaultRunConfig()
 	rc.ADORE = true
-	off, err := Run(build, rc)
+	off, err := RunContext(context.Background(), build, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rc.Observe = true
-	on, err := Run(build, rc)
+	on, err := RunContext(context.Background(), build, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func BenchmarkObserveOverhead(b *testing.B) {
 			rc.ADORE = true
 			rc.Observe = observe
 			for i := 0; i < b.N; i++ {
-				if _, err := Run(build, rc); err != nil {
+				if _, err := RunContext(context.Background(), build, rc); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -50,29 +50,17 @@ type PolicyMatrixResult struct {
 	Rows     []PolicyMatrixRow
 }
 
-// RunPolicyMatrixContext runs the matrix on the engine: per benchmark, one
-// baseline job plus one ADORE job per column, all sharing a single O2
-// compile through the build cache. Each column's RunConfig differs only in
-// Core.Policy/Core.Selector — which is exactly the aliasing hazard the run
-// fingerprint exists to prevent (see ResultCache).
-func RunPolicyMatrixContext(ctx context.Context, cfg ExpConfig) (*PolicyMatrixResult, error) {
-	benches, cols, jobs := policyMatrixJobs(cfg)
-	runs, err := cfg.engine().RunJobs(ctx, "policymatrix", jobs)
-	if err != nil {
-		return nil, err
-	}
-	return policyMatrixResult(benches, cols, runs), nil
-}
-
-// RunPolicyMatrixForkedContext runs the identical matrix on the
-// checkpoint/fork engine: per benchmark, the ADORE columns share one
-// warmup through a divergence-point snapshot (RunJobsForked) instead of
-// each simulating it. The result is bit-identical to
-// RunPolicyMatrixContext's; the returned ForkStats report the warmup
-// cycles the sharing saved.
+// RunPolicyMatrixForkedContext runs the matrix on the engine: per
+// benchmark, one baseline job plus one ADORE job per column, all sharing a
+// single O2 compile through the build cache. Each column's RunConfig
+// differs only in Core.Policy/Core.Selector, so a benchmark's ADORE
+// columns form one fork group (RunJobs): they share one warmup through a
+// divergence-point snapshot, and columns that decide alike share one run.
+// The result is bit-identical to running every job straight; the returned
+// ForkStats report the warmup cycles the sharing saved.
 func RunPolicyMatrixForkedContext(ctx context.Context, cfg ExpConfig) (*PolicyMatrixResult, *ForkStats, error) {
 	benches, cols, jobs := policyMatrixJobs(cfg)
-	runs, stats, err := cfg.engine().RunJobsForked(ctx, "policymatrix", jobs)
+	runs, stats, err := cfg.engine().RunJobs(ctx, "policymatrix", jobs)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -203,15 +191,6 @@ type PolicyGolden struct {
 	Tol      GoldenTolerance
 	Policies []string
 	Rows     []GoldenPolicyRow
-}
-
-// CollectPolicyGolden runs the matrix and pins it.
-func CollectPolicyGolden(cfg ExpConfig) (*PolicyGolden, error) {
-	m, err := RunPolicyMatrixContext(context.Background(), cfg)
-	if err != nil {
-		return nil, err
-	}
-	return pinPolicyMatrix(m, cfg.Scale), nil
 }
 
 // pinPolicyMatrix turns a matrix swept at the given scale into its golden

@@ -18,29 +18,32 @@ var updatePolicyGolden = flag.Bool("update-policy-golden", false,
 
 const policyGoldenPath = "testdata/golden/policy_matrix.json"
 
-// straightMatrix holds the golden-scale straight policy matrix, swept once
-// per test binary: TestPolicyMatrixGolden and
-// TestForkPolicyMatrixBitIdentical both check the same sweep, which costs
-// seconds. It is computed in-process on first use, so -update-policy-golden
-// still regenerates from a fresh sweep. Callers must not mutate it.
-var straightMatrix struct {
-	once sync.Once
-	m    *PolicyMatrixResult
-	err  error
+// goldenMatrix holds the golden-scale policy matrix, swept once per test
+// binary through the one production driver: TestPolicyMatrixGolden,
+// TestPolicyGoldenRoundTrip and TestForkPolicyMatrixBitIdentical all check
+// the same sweep, which costs seconds. It is computed in-process on first
+// use, so -update-policy-golden still regenerates from a fresh sweep.
+// Callers must not mutate it.
+var goldenMatrix struct {
+	once  sync.Once
+	m     *PolicyMatrixResult
+	stats *ForkStats
+	err   error
 }
 
-// straightPolicyMatrix returns the shared straight sweep.
-func straightPolicyMatrix(t *testing.T) *PolicyMatrixResult {
+// goldenPolicyMatrix returns the shared golden-scale sweep and its fork
+// statistics.
+func goldenPolicyMatrix(t *testing.T) (*PolicyMatrixResult, *ForkStats) {
 	t.Helper()
-	straightMatrix.once.Do(func() {
+	goldenMatrix.once.Do(func() {
 		cfg := GoldenExpConfig()
 		cfg.Engine = NewEngine(EngineConfig{})
-		straightMatrix.m, straightMatrix.err = RunPolicyMatrixContext(context.Background(), cfg)
+		goldenMatrix.m, goldenMatrix.stats, goldenMatrix.err = RunPolicyMatrixForkedContext(context.Background(), cfg)
 	})
-	if straightMatrix.err != nil {
-		t.Fatal(straightMatrix.err)
+	if goldenMatrix.err != nil {
+		t.Fatal(goldenMatrix.err)
 	}
-	return straightMatrix.m
+	return goldenMatrix.m, goldenMatrix.stats
 }
 
 // TestPolicyMatrixGolden re-runs the full policy matrix at the corpus scale
@@ -52,7 +55,7 @@ func straightPolicyMatrix(t *testing.T) *PolicyMatrixResult {
 // non-paper policy.
 func TestPolicyMatrixGolden(t *testing.T) {
 	cfg := GoldenExpConfig()
-	m := straightPolicyMatrix(t)
+	m, _ := goldenPolicyMatrix(t)
 
 	if *updatePolicyGolden {
 		if err := pinPolicyMatrix(m, cfg.Scale).Save(policyGoldenPath); err != nil {
@@ -142,7 +145,8 @@ func TestPolicyMatrixRenderAndBest(t *testing.T) {
 // each perturbation class — cycles drift, prefetch-count change, renamed
 // row, dropped row, different column set — is caught as its own divergence.
 func TestPolicyGoldenRoundTrip(t *testing.T) {
-	g := pinPolicyMatrix(straightPolicyMatrix(t), GoldenExpConfig().Scale)
+	m, _ := goldenPolicyMatrix(t)
+	g := pinPolicyMatrix(m, GoldenExpConfig().Scale)
 	if !equalStrings(g.Policies, PolicyColumns()) {
 		t.Fatalf("collector columns %v, want %v", g.Policies, PolicyColumns())
 	}
@@ -260,6 +264,9 @@ func TestResultCachePolicyAntiAliasing(t *testing.T) {
 		rc := cfg.runConfig()
 		rc.ADORE = true
 		rc.Core = cfg.Core
+		// A DEAR capture makes the jobs un-forkable, so RunJobs sends
+		// them through the result cache instead of one fork group.
+		rc.CaptureDear = true
 		mut(&rc)
 		return rc
 	}
@@ -269,7 +276,7 @@ func TestResultCachePolicyAntiAliasing(t *testing.T) {
 		{Name: "mcf/paper-again", Compile: sp, Config: mk(func(*RunConfig) {})},
 	}
 	eng := NewEngine(EngineConfig{Parallelism: 1})
-	runs, err := eng.RunJobs(context.Background(), "antialias", jobs)
+	runs, _, err := eng.RunJobs(context.Background(), "antialias", jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,6 +105,9 @@ func TestResultCacheHoldsRecords(t *testing.T) {
 	adore.Observe = true
 	adore.Profile = 997
 	adore.RecordSeries = true
+	// A DEAR capture makes the two ADORE jobs un-forkable, so RunJobs
+	// sends them through the result cache instead of one fork group.
+	adore.CaptureDear = true
 	profiled := DefaultRunConfig()
 	profiled.ADORE = true
 	profiled.Core = adore.Core
@@ -128,11 +131,11 @@ func TestResultCacheHoldsRecords(t *testing.T) {
 	}
 
 	e := NewEngine(EngineConfig{Parallelism: 1})
-	first, err := e.RunJobs(context.Background(), "records", jobs)
+	first, _, err := e.RunJobs(context.Background(), "records", jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := e.RunJobs(context.Background(), "records", jobs)
+	again, _, err := e.RunJobs(context.Background(), "records", jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

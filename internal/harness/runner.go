@@ -147,35 +147,26 @@ type RunResult struct {
 	// only on runs made outside the engine's result cache (direct runs,
 	// differential, hook-carrying and fork runs). The cache keeps a run
 	// record, so they are nil in every result it hands out. A merged fork
-	// member (RunJobsForked) shares its leader's FinalMemory and Code
+	// member (Engine.RunJobs) shares its leader's FinalMemory and Code
 	// read-only, carries its own copy of Arch, and has no Controller.
 	Arch       *isa.ArchState     `json:"-"`
 	Code       *program.CodeSpace `json:"-"`
 	Controller *core.Controller   `json:"-"`
 }
 
-// Run executes a compiled workload under cfg.
-func Run(build *compiler.BuildResult, cfg RunConfig) (*RunResult, error) {
-	return RunContext(context.Background(), build, cfg)
-}
-
-// RunContext is Run with cancellation threaded through the simulator: the
-// CPU polls ctx between bundles, so even multi-billion-cycle simulations
-// stop promptly when ctx fires. The run never mutates build — each run gets
-// a private code-segment copy, memory, and hierarchy — so one BuildResult
-// may back any number of concurrent runs.
+// RunContext executes a compiled workload under cfg, with cancellation
+// threaded through the simulator: the CPU polls ctx between bundles, so
+// even multi-billion-cycle simulations stop promptly when ctx fires. The
+// run never mutates build — each run gets a private code-segment copy,
+// memory, and hierarchy — so one BuildResult may back any number of
+// concurrent runs.
 func RunContext(ctx context.Context, build *compiler.BuildResult, cfg RunConfig) (*RunResult, error) {
 	return RunImageContext(ctx, build.Image, cfg)
 }
 
-// RunImage executes a bare program image under cfg — the entry point for
-// programs that never went through the compiler, such as fuzz-generated
-// images (internal/progfuzz) and hand-assembled tests.
-func RunImage(img *program.Image, cfg RunConfig) (*RunResult, error) {
-	return RunImageContext(context.Background(), img, cfg)
-}
-
-// RunImageContext is RunImage with cancellation.
+// RunImageContext executes a bare program image under cfg — the entry
+// point for programs that never went through the compiler, such as
+// fuzz-generated images (internal/progfuzz) and hand-assembled tests.
 func RunImageContext(ctx context.Context, img *program.Image, cfg RunConfig) (*RunResult, error) {
 	return runImage(ctx, img, cfg, nil, nil, nil)
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/compiler"
@@ -110,13 +111,13 @@ func runPair(t *testing.T, b *compiler.BuildResult) (base, adore *RunResult) {
 	t.Helper()
 	cfg := DefaultRunConfig()
 	var err error
-	base, err = Run(b, cfg)
+	base, err = RunContext(context.Background(), b, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.ADORE = true
 	cfg.Core = fastCore()
-	adore, err = Run(b, cfg)
+	adore, err = RunContext(context.Background(), b, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,14 +169,14 @@ func TestADOREIndirectPrefetchSpeedsUpGather(t *testing.T) {
 func TestDisableInsertionLowOverhead(t *testing.T) {
 	b := buildO2(t, streamKernel(1<<16, 10))
 	cfg := DefaultRunConfig()
-	base, err := Run(b, cfg)
+	base, err := RunContext(context.Background(), b, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.ADORE = true
 	cfg.Core = fastCore()
 	cfg.Core.DisableInsertion = true
-	noins, err := Run(b, cfg)
+	noins, err := RunContext(context.Background(), b, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +213,7 @@ func TestSeriesRecording(t *testing.T) {
 	cfg.Core = fastCore()
 	cfg.Core.DisableInsertion = true
 	cfg.RecordSeries = true
-	r, err := Run(b, cfg)
+	r, err := RunContext(context.Background(), b, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/compiler"
@@ -80,14 +81,14 @@ func TestPatchingPreservesSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := Run(build, DefaultRunConfig())
+	base, err := RunContext(context.Background(), build, DefaultRunConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	rc := DefaultRunConfig()
 	rc.ADORE = true
 	rc.Core = fastCore()
-	opt, err := Run(build, rc)
+	opt, err := RunContext(context.Background(), build, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestExtensionsPreserveSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := Run(build, DefaultRunConfig())
+	base, err := RunContext(context.Background(), build, DefaultRunConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestExtensionsPreserveSemantics(t *testing.T) {
 	rc.Core.OptimizeSWPLoops = true
 	rc.Core.PhaseTable = true
 	rc.Core.StrideProfiling = true
-	opt, err := Run(build, rc)
+	opt, err := RunContext(context.Background(), build, rc)
 	if err != nil {
 		t.Fatal(err)
 	}

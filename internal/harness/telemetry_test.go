@@ -25,7 +25,7 @@ func TestCycleProfilerNonPerturbing(t *testing.T) {
 
 	plain := DefaultRunConfig()
 	plain.ADORE = true
-	bare, err := Run(build, plain)
+	bare, err := RunContext(context.Background(), build, plain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestCycleProfilerNonPerturbing(t *testing.T) {
 	rc.ADORE = true
 	rc.Profile = 4093
 	rc.Metrics = metrics.NewRegistry()
-	prof, err := Run(build, rc)
+	prof, err := RunContext(context.Background(), build, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestCycleProfilerNonPerturbing(t *testing.T) {
 	}
 
 	// And the profile itself is deterministic.
-	again, err := Run(build, rc)
+	again, err := RunContext(context.Background(), build, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,8 +75,8 @@ func TestCycleProfilerNonPerturbing(t *testing.T) {
 	}
 }
 
-// TestEngineMetricsFold runs small sweeps on a metered engine, under both
-// schedulers, and checks the host-side and folded simulated aggregates:
+// TestEngineMetricsFold runs small sweeps on a metered engine and checks
+// the host-side and folded simulated aggregates:
 // two of the jobs are identical (one result-cache hit), so adore_engine_*
 // counts host work while adore_sim_* counts work served (the cached
 // result folds twice). The fork-group case adds a probe and a
@@ -107,29 +107,27 @@ func TestEngineMetricsFold(t *testing.T) {
 	}, mgroup...)
 
 	cases := []struct {
-		name  string
-		sched scheduler
-		jobs  []Job
+		name string
+		jobs []Job
 		// Result-cache misses: simulations the cache ran. Fork probes and
 		// continuations run outside it.
 		resultMisses uint64
 		groups       int
 		merged       int
 	}{
-		{"RunJobs", straightScheduler, plain, 2, 0, 0},
-		{"RunJobsForked", forkScheduler, plain, 2, 0, 0},
-		{"RunJobsForked/fork-group", forkScheduler, forked, 1, 1, 0},
-		{"RunJobsForked/merging-group", forkScheduler, merging, 1, 1, 2},
+		{"RunJobs", plain, 2, 0, 0},
+		{"RunJobs/fork-group", forked, 1, 1, 0},
+		{"RunJobs/merging-group", merging, 1, 1, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			r := metrics.NewRegistry()
 			e := NewEngine(EngineConfig{Parallelism: 2, Metrics: r})
-			out, stats, err := tc.sched.run(e, context.Background(), "telemetry-test", tc.jobs)
+			out, stats, err := e.RunJobs(context.Background(), "telemetry-test", tc.jobs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if stats != nil && (stats.Groups != tc.groups || stats.MergedRuns != tc.merged) {
+			if stats.Groups != tc.groups || stats.MergedRuns != tc.merged {
 				t.Fatalf("fork groups/merged = %d/%d, want %d/%d (stats %+v)",
 					stats.Groups, stats.MergedRuns, tc.groups, tc.merged, stats)
 			}
@@ -256,7 +254,7 @@ func TestProfileMatchesLoopAccounting(t *testing.T) {
 	rc := DefaultRunConfig()
 	rc.Observe = true // exact per-loop accounting (RunResult.LoopCPI)
 	rc.Profile = 4093 // statistical per-loop attribution (RunResult.Profile)
-	res, err := Run(build, rc)
+	res, err := RunContext(context.Background(), build, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +362,7 @@ func TestTelemetryOverhead(t *testing.T) {
 	build := obsBuild(t, "mcf", 0.1)
 	rc := DefaultRunConfig()
 	rc.ADORE = true
-	off, err := Run(build, rc)
+	off, err := RunContext(context.Background(), build, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +370,7 @@ func TestTelemetryOverhead(t *testing.T) {
 	rc.Metrics = reg
 	rc.Observe = true
 	rc.Profile = interval
-	on, err := Run(build, rc)
+	on, err := RunContext(context.Background(), build, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +435,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 					rc.Metrics = metrics.NewRegistry()
 					rc.Profile = 4093
 				}
-				if _, err := Run(build, rc); err != nil {
+				if _, err := RunContext(context.Background(), build, rc); err != nil {
 					b.Fatal(err)
 				}
 			}

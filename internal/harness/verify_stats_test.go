@@ -1,6 +1,9 @@
 package harness
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // TestADOREVerifiesTracesEndToEnd checks that runtime verification
 // (Config.Verify, on by default) actually runs in a full ADORE session:
@@ -14,7 +17,7 @@ func TestADOREVerifiesTracesEndToEnd(t *testing.T) {
 	if !cfg.Core.Verify {
 		t.Fatal("Verify not on by default")
 	}
-	r, err := Run(b, cfg)
+	r, err := RunContext(context.Background(), b, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

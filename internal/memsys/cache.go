@@ -78,7 +78,7 @@ type Cache struct {
 	// line (struct-field runs on the data side, the alternating pair of
 	// I-lines of a straddling loop on the instruction side) skip the way
 	// scan. Purely a prediction — it is validated against the indexed
-	// tag+valid state before use, so Fill/Invalidate need not clear it,
+	// tag+valid state before use, so Fill need not clear it,
 	// and it never changes hit/miss outcomes, LRU updates or statistics.
 	lastWay []uint8
 	// Victim hint: every hierarchy fill is preceded by the missing access
@@ -134,7 +134,7 @@ func (c *Cache) LineSize() int { return c.cfg.LineSize }
 // way's stale tag may match (a freshly reset cache has tag 0 everywhere),
 // so a match counts only with the valid bit set — and the scan continues
 // past it rather than breaking, since the real line may sit in a later
-// way. Cold-path variant (Probe, Invalidate); the hot path is the fused
+// way. Cold-path variant (Probe); the hot path is the fused
 // scan in access.
 func (c *Cache) lookup(addr uint64) int {
 	tag := addr >> c.lineBits
@@ -280,15 +280,6 @@ func (c *Cache) Fill(addr uint64, readyAt uint64, dirty bool, isPrefetch bool) (
 	v.ready = readyAt
 	c.lastWay[int(tag&c.setMask)] = uint8(victim)
 	return evictedDirty
-}
-
-// Invalidate drops addr's line if resident (used by tests and by failure
-// injection).
-func (c *Cache) Invalidate(addr uint64) {
-	if i := c.lookup(addr); i >= 0 {
-		c.lines[i] = cacheLine{}
-		c.victimTick = ^uint64(0) // hint may name a now-invalid way
-	}
 }
 
 // Reset clears all lines and statistics.

@@ -164,9 +164,6 @@ func (p *PMU) Stop() {
 	p.flush()
 }
 
-// Enabled reports whether sampling is active.
-func (p *PMU) Enabled() bool { return p.enabled }
-
 // NextSampleAt returns the cycle of the next sample, or ^0 while sampling
 // is off. The CPU keeps a copy to compare against on every retire and
 // re-reads it wherever the schedule can change.

@@ -1,6 +1,7 @@
 package progfuzz_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -58,7 +59,7 @@ func FuzzDifferential(f *testing.F) {
 
 		plain := harness.DefaultRunConfig()
 		plain.MaxInsts = 4_000_000
-		rep, err := harness.DiffAgainst(or, p.Image, plain)
+		rep, err := harness.DiffAgainstContext(context.Background(), or, p.Image, plain)
 		if err != nil {
 			t.Fatalf("plain: %v", err)
 		}
@@ -75,7 +76,7 @@ func FuzzDifferential(f *testing.F) {
 		// oracle covers every policy's injected code, not just the paper
 		// default.
 		adore.Core.Policy, adore.Core.Selector = progfuzz.PolicyFromInput(data)
-		rep, err = harness.DiffAgainst(or, p.Image, adore)
+		rep, err = harness.DiffAgainstContext(context.Background(), or, p.Image, adore)
 		if err != nil {
 			t.Fatalf("adore: %v", err)
 		}

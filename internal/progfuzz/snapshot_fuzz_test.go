@@ -71,7 +71,7 @@ func FuzzSnapshot(f *testing.F) {
 		cfg.Core = fuzzCore()
 		cfg.Core.Policy, cfg.Core.Selector = progfuzz.PolicyFromInput(data)
 
-		straight, err := harness.RunImage(p.Image, cfg)
+		straight, err := harness.RunImageContext(context.Background(), p.Image, cfg)
 		if err != nil {
 			t.Fatalf("straight: %v", err)
 		}
@@ -101,7 +101,7 @@ func FuzzSnapshot(f *testing.F) {
 			if alt.Core.Policy == cfg.Core.Policy && alt.Core.Selector == cfg.Core.Selector {
 				return
 			}
-			altStraight, err := harness.RunImage(p.Image, alt)
+			altStraight, err := harness.RunImageContext(context.Background(), p.Image, alt)
 			if err != nil {
 				t.Fatalf("alt straight: %v", err)
 			}

@@ -175,7 +175,7 @@ func (r RunRequest) Fingerprint() string {
 // the repeated, cacheable query mix of a policy search. The server runs
 // it on the checkpoint/fork engine: ADORE columns differing only in
 // policy share one warmup probe, and columns that decide alike share one
-// run (harness.RunJobsForked).
+// run (harness.Engine.RunJobs).
 type SweepRequest struct {
 	Workload string  `json:"workload"`
 	Scale    float64 `json:"scale,omitempty"`

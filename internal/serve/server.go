@@ -249,7 +249,7 @@ func (s *Server) handleRun(w http.ResponseWriter, req *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		runs, err := s.eng.RunJobs(ctx, "serve/run", []harness.Job{job})
+		runs, _, err := s.eng.RunJobs(ctx, "serve/run", []harness.Job{job})
 		if err != nil {
 			return nil, err
 		}
@@ -283,7 +283,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, req *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		runs, stats, err := s.eng.RunJobsForked(ctx, "serve/sweep", jobs)
+		runs, stats, err := s.eng.RunJobs(ctx, "serve/sweep", jobs)
 		if err != nil {
 			return nil, err
 		}
@@ -291,20 +291,18 @@ func (s *Server) handleSweep(w http.ResponseWriter, req *http.Request) {
 		for i, col := range sr.Policies {
 			doc.Results = append(doc.Results, runResponse(sr.columnRequest(col), runs[i]))
 		}
-		if stats != nil {
-			doc.Fork = &ForkSummary{
-				Groups:          stats.Groups,
-				ForkedRuns:      stats.ForkedRuns,
-				MergedRuns:      stats.MergedRuns,
-				StraightRuns:    stats.StraightRuns,
-				WarmupStraight:  stats.WarmupStraight,
-				WarmupForked:    stats.WarmupForked,
-				WarmupReduction: stats.WarmupReduction(),
-			}
-			s.forkGroups.Add(uint64(stats.Groups))
-			s.forkedRuns.Add(uint64(stats.ForkedRuns))
-			s.mergedRuns.Add(uint64(stats.MergedRuns))
+		doc.Fork = &ForkSummary{
+			Groups:          stats.Groups,
+			ForkedRuns:      stats.ForkedRuns,
+			MergedRuns:      stats.MergedRuns,
+			StraightRuns:    stats.StraightRuns,
+			WarmupStraight:  stats.WarmupStraight,
+			WarmupForked:    stats.WarmupForked,
+			WarmupReduction: stats.WarmupReduction(),
 		}
+		s.forkGroups.Add(uint64(stats.Groups))
+		s.forkedRuns.Add(uint64(stats.ForkedRuns))
+		s.mergedRuns.Add(uint64(stats.MergedRuns))
 		return marshalBody(doc)
 	})
 }

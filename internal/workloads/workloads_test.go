@@ -1,6 +1,7 @@
 package workloads_test
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -118,7 +119,7 @@ func TestAllBenchmarksRunToCompletion(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}
-		r, err := harness.Run(build, harness.DefaultRunConfig())
+		r, err := harness.RunContext(context.Background(), build, harness.DefaultRunConfig())
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}
