@@ -205,8 +205,8 @@ func (c *CPU) attribute(cat acctCat, d uint64) {
 }
 
 // noteFetch keeps the current-loop cache fresh as fetch moves between
-// bundles. Called from step only when accounting is enabled; the fast path
-// — still inside the cached range — is inlined there.
+// bundles. Called from the run loop only when accounting is enabled; the
+// fast path — still inside the cached range — is inlined there.
 func (c *CPU) noteFetch(bundleAddr uint64) {
 	if c.acct.img == nil || (bundleAddr >= c.acct.curLo && bundleAddr < c.acct.curHi) {
 		return

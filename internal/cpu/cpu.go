@@ -136,12 +136,19 @@ type CPU struct {
 	pre predecode // direct-indexed code image (predecode.go)
 
 	// modelI / l1iShift cache the I-cache front-end decision and the
-	// line-number shift so step neither re-tests config nor divides.
+	// line-number shift so the run loop neither re-tests config nor
+	// divides.
 	modelI   bool
 	l1iShift uint
-	// l2HitLat is the hierarchy's L2 hit latency: an FP load slower than
-	// this counts as a data-cache miss for the PMU.
-	l2HitLat uint64
+	// The caches the CPU's accesses enter first, and their hit latencies,
+	// hoisted out of the hierarchy: a ready memo hit (Cache.ReadyHit) is
+	// one call that costs the level's hit latency, and anything else
+	// takes the hierarchy's full Access* path. l2HitLat doubles as the
+	// PMU's miss threshold: an FP load slower than an L2 hit counts as a
+	// data-cache miss.
+	l1i, l1d, l2   *memsys.Cache
+	l1iLat, l1dLat uint64
+	l2HitLat       uint64
 
 	// sampleAt is the cycle at which the next retire must hand the PMU its
 	// sample (the PMU's NextSampleAt; ^0 without a PMU or while sampling
@@ -151,7 +158,7 @@ type CPU struct {
 	sampleAt uint64
 	// pmuRetired is the Stats.Retired count already folded into
 	// PMU.Retired. The PMU's counter is brought up to date only where
-	// something outside the step loop can read it: at a sample, at a hook
+	// something outside the run loop can read it: at a sample, at a hook
 	// boundary and when RunContext returns (foldRetired).
 	pmuRetired uint64
 
@@ -174,7 +181,9 @@ func New(cfg Config, code *program.CodeSpace, mem *memsys.Memory, hier *memsys.H
 		c.l1iShift = uint(bits.TrailingZeros64(uint64(hier.L1I.LineSize())))
 	}
 	if hier != nil {
-		c.l2HitLat = uint64(hier.Config().L2.HitLat)
+		hc := hier.Config()
+		c.l1i, c.l1d, c.l2 = hier.L1I, hier.L1D, hier.L2
+		c.l1iLat, c.l1dLat, c.l2HitLat = uint64(hc.L1I.HitLat), uint64(hc.L1D.HitLat), uint64(hc.L2.HitLat)
 	}
 	c.syncSampleGate()
 	c.attachCode(code)
@@ -311,17 +320,22 @@ func (c *CPU) Run(maxInstructions uint64) (Stats, error) {
 // bundles, alongside the maxInstructions safety stop, and its error is
 // returned if it fires mid-run. A context that can never be cancelled adds
 // no per-bundle cost.
+//
+// Each iteration fetches and executes one bundle (or the tail of one,
+// after a branch into a mid-bundle slot) with one call, executeBundle; a
+// move to a new I-line that hits L1I's memo ready adds one more.
 func (c *CPU) RunContext(ctx context.Context, maxInstructions uint64) (Stats, error) {
 	// The PMU may have been started, stopped or restored since the last
 	// run; every exit folds the retired count back into it.
 	c.syncSampleGate()
 	defer c.foldRetired()
+	limit := maxInstructions
+	if limit == 0 {
+		limit = ^uint64(0)
+	}
 	done := ctx.Done()
 	sinceCheck := 0
-	for !c.halted {
-		if maxInstructions > 0 && c.Stats.Retired >= maxInstructions {
-			break
-		}
+	for !c.halted && c.Stats.Retired < limit {
 		if done != nil {
 			if sinceCheck--; sinceCheck < 0 {
 				sinceCheck = ctxCheckEvery
@@ -333,10 +347,48 @@ func (c *CPU) RunContext(ctx context.Context, maxInstructions uint64) (Stats, er
 				}
 			}
 		}
-		if err := c.step(); err != nil {
-			// A faulting step (unmapped fetch, bad slot, unimplemented
-			// op) must still report current time: callers inspect
-			// Stats.Cycles of failed runs.
+		// Poll hooks fire at bundle boundaries; hookNext is the earliest
+		// next-fire cycle across hooks, so the no-hook (and between-fires)
+		// path is a single compare.
+		if c.cycle >= c.hookNext {
+			c.hookBoundary()
+		}
+
+		// A faulting bundle (unmapped fetch, bad slot, unimplemented op)
+		// must still report current time: callers inspect Stats.Cycles of
+		// failed runs.
+		bundleAddr := c.pc &^ uint64(isa.BundleBytes-1)
+		slot := int(c.pc & uint64(isa.BundleBytes-1))
+		if slot > 2 {
+			c.Stats.Cycles = c.cycle
+			return c.Stats, fmt.Errorf("cpu: bad slot in pc %#x", c.pc)
+		}
+		e := c.fetch(bundleAddr)
+		if e == nil {
+			c.Stats.Cycles = c.cycle
+			return c.Stats, fmt.Errorf("cpu: fetch from unmapped address %#x", bundleAddr)
+		}
+		if c.cfg.Accounting {
+			c.noteFetch(bundleAddr)
+		}
+
+		// Instruction cache: charge when fetch moves to a new I-line.
+		if c.modelI {
+			if line := bundleAddr >> c.l1iShift; line != c.lastFetchLine {
+				c.lastFetchLine = line
+				lat := c.l1iLat
+				if !c.l1i.ReadyHit(c.cycle, bundleAddr, false, true) {
+					lat = c.Hier.AccessInst(c.cycle, bundleAddr).Latency
+				}
+				if lat > 0 {
+					c.Stats.ICacheStalls += lat
+					c.advanceCycle(c.cycle+lat, acctFetch)
+				}
+			}
+		}
+
+		c.chargeBundle()
+		if err := c.executeBundle(bundleAddr, e, slot); err != nil {
 			c.Stats.Cycles = c.cycle
 			return c.Stats, err
 		}
@@ -345,51 +397,16 @@ func (c *CPU) RunContext(ctx context.Context, maxInstructions uint64) (Stats, er
 	return c.Stats, nil
 }
 
-// step fetches and executes one bundle (or the tail of one, after a branch
-// into a mid-bundle slot).
-func (c *CPU) step() error {
-	// Poll hooks fire at bundle boundaries; hookNext is the earliest
-	// next-fire cycle across hooks, so the no-hook (and between-fires)
-	// path is a single compare.
-	if c.cycle >= c.hookNext {
-		// Hooks and the fork engine's snapshot read the PMU's counters;
-		// hooks may start or stop sampling.
-		c.foldRetired()
-		if c.preHook != nil {
-			c.preHook(c.cycle)
-		}
-		c.runHooks()
-		c.syncSampleGate()
+// hookBoundary runs the due poll hooks at a bundle boundary. Hooks and
+// the fork engine's snapshot read the PMU's counters, and hooks may start
+// or stop sampling.
+func (c *CPU) hookBoundary() {
+	c.foldRetired()
+	if c.preHook != nil {
+		c.preHook(c.cycle)
 	}
-
-	bundleAddr := c.pc &^ uint64(isa.BundleBytes-1)
-	slot := int(c.pc & uint64(isa.BundleBytes-1))
-	if slot > 2 {
-		return fmt.Errorf("cpu: bad slot in pc %#x", c.pc)
-	}
-	b := c.fetch(bundleAddr)
-	if b == nil {
-		return fmt.Errorf("cpu: fetch from unmapped address %#x", bundleAddr)
-	}
-	if c.cfg.Accounting {
-		c.noteFetch(bundleAddr)
-	}
-
-	// Instruction cache: charge when fetch moves to a new I-line.
-	if c.modelI {
-		line := bundleAddr >> c.l1iShift
-		if line != c.lastFetchLine {
-			c.lastFetchLine = line
-			r := c.Hier.AccessInst(c.cycle, bundleAddr)
-			if r.Latency > 0 {
-				c.Stats.ICacheStalls += r.Latency
-				c.advanceCycle(c.cycle+r.Latency, acctFetch)
-			}
-		}
-	}
-
-	c.chargeBundle()
-	return c.executeBundle(bundleAddr, b, slot)
+	c.runHooks()
+	c.syncSampleGate()
 }
 
 // runHooks fires every due poll hook, in registration order, and
@@ -474,32 +491,33 @@ func (c *CPU) writeFR(r isa.FReg, v float64, readyAt uint64) {
 // One call executes up to three instructions: the interpreter retires
 // tens of millions of instructions per host second, so the per-slot call
 // this loop replaced was a measurable slice of the whole run.
-func (c *CPU) executeBundle(bundleAddr uint64, b *isa.Bundle, slot int) error {
+//
+// No-effect runs (predecode.go) retire without dispatch. Nops never move
+// the clock, so when no sample is due at a run's first slot none falls
+// due inside it, and the whole run retires in one add: the bundle's
+// leading run on entry, and the run after each executed slot in the add
+// of that slot's own retire (retireRun). When a sample is due, the run's
+// slots instead dispatch one by one to the OpNop case, so the sample
+// lands on the exact nop.
+func (c *CPU) executeBundle(bundleAddr uint64, e *execBundle, slot int) error {
 	fpLat := uint64(c.cfg.FPLatency)
-	for s := slot; s < 3; s++ {
+	s := slot + c.nopRun(e.nops[slot])
+	for ; s < 3; s++ {
 		pc := bundleAddr + uint64(s)
-		in := &b.Slots[s]
+		in := &e.slots[s]
 		// A predicated-off instruction occupies its slot and retires with
 		// no effect and no stalls. Conditional branches handle their own
 		// predicate so that not-taken outcomes still reach the PMU's
 		// branch trace buffer.
 		if in.QP != 0 && !c.PR[in.QP] && in.Op != isa.OpBrCond {
-			c.retire(pc)
+			s += c.retireRun(pc, e.nops[s+1])
 			continue
 		}
 
 		switch in.Op {
 		case isa.OpNop:
-			// The code image gives every no-effect slot this form, Imm
-			// counting the no-effect slots that follow it (predecode.go).
-			// Nops never move the clock, so when no sample is due here
-			// none falls due inside the run: retire it in one add.
-			// Otherwise retire this slot alone, so the sample lands on it.
-			if c.cycle < c.sampleAt {
-				c.Stats.Retired += uint64(in.Imm) + 1
-				s += int(in.Imm)
-				continue
-			}
+			// Reached only when a sample was due at this slot's run:
+			// it retires below, alone if the sample is still due.
 
 		case isa.OpAdd:
 			c.wait(in.R2)
@@ -565,10 +583,13 @@ func (c *CPU) executeBundle(bundleAddr uint64, b *isa.Bundle, slot int) error {
 			v := c.Mem.ReadN(addr, isa.AccessBytes(in.Op))
 			lat := uint64(1)
 			if c.Hier != nil {
-				r := c.Hier.AccessLoad(c.cycle, addr)
-				lat = r.Latency
-				if r.Level != memsys.LevelL1 && c.PMU != nil {
-					c.PMU.OnLoadMiss(pc, addr, uint32(lat))
+				lat = c.l1dLat
+				if !c.l1d.ReadyHit(c.cycle, addr, false, true) {
+					r := c.Hier.AccessLoad(c.cycle, addr)
+					lat = r.Latency
+					if r.Level != memsys.LevelL1 && c.PMU != nil {
+						c.PMU.OnLoadMiss(pc, addr, uint32(lat))
+					}
 				}
 			}
 			c.writeGR(in.R1, v, c.cycle+lat)
@@ -582,12 +603,14 @@ func (c *CPU) executeBundle(bundleAddr uint64, b *isa.Bundle, slot int) error {
 			v := c.Mem.ReadFloat(addr)
 			lat := uint64(1)
 			if c.Hier != nil {
-				r := c.Hier.AccessLoadFP(c.cycle, addr)
-				lat = r.Latency
 				// FP loads bypass L1; only count events slower than an
 				// L2 hit as data-cache misses.
-				if c.PMU != nil && lat > c.l2HitLat {
-					c.PMU.OnLoadMiss(pc, addr, uint32(lat))
+				lat = c.l2HitLat
+				if !c.l2.ReadyHit(c.cycle, addr, false, true) {
+					lat = c.Hier.AccessLoadFP(c.cycle, addr).Latency
+					if c.PMU != nil && lat > c.l2HitLat {
+						c.PMU.OnLoadMiss(pc, addr, uint32(lat))
+					}
 				}
 			}
 			c.writeFR(in.F1, v, c.cycle+lat)
@@ -600,7 +623,7 @@ func (c *CPU) executeBundle(bundleAddr uint64, b *isa.Bundle, slot int) error {
 			c.reservePort(&c.storesUsed, c.cfg.StorePorts)
 			addr := c.GR[in.R3]
 			c.Mem.WriteN(addr, isa.AccessBytes(in.Op), c.GR[in.R2])
-			if c.Hier != nil {
+			if c.Hier != nil && !c.l1d.ReadyHit(c.cycle, addr, true, true) {
 				c.Hier.AccessStore(c.cycle, addr)
 			}
 			c.postInc(in)
@@ -612,7 +635,7 @@ func (c *CPU) executeBundle(bundleAddr uint64, b *isa.Bundle, slot int) error {
 			c.reservePort(&c.storesUsed, c.cfg.StorePorts)
 			addr := c.GR[in.R3]
 			c.Mem.WriteFloat(addr, c.FR[in.F1])
-			if c.Hier != nil {
+			if c.Hier != nil && !c.l1d.ReadyHit(c.cycle, addr, true, true) {
 				c.Hier.AccessStore(c.cycle, addr)
 			}
 			c.postInc(in)
@@ -622,7 +645,11 @@ func (c *CPU) executeBundle(bundleAddr uint64, b *isa.Bundle, slot int) error {
 			c.wait(in.R3)
 			c.reservePort(&c.loadsUsed, c.cfg.LoadPorts)
 			if c.Hier != nil {
-				c.Hier.AccessPrefetch(c.cycle, c.GR[in.R3])
+				if addr := c.GR[in.R3]; c.l1d.ReadyHit(c.cycle, addr, false, false) {
+					c.Hier.PrefetchesIssued++
+				} else {
+					c.Hier.AccessPrefetch(c.cycle, addr)
+				}
 			}
 			c.postInc(in)
 			c.Stats.Prefetches++
@@ -674,6 +701,9 @@ func (c *CPU) executeBundle(bundleAddr uint64, b *isa.Bundle, slot int) error {
 			if c.execBrCond(pc, in) {
 				return nil
 			}
+			// Retired, and a mispredict may have moved the clock: the
+			// run after it starts afresh, as a bundle's leading run does.
+			s += c.nopRun(e.nops[s+1])
 			continue
 		case isa.OpBr:
 			c.reservePort(&c.brUsed, c.cfg.BranchUnits)
@@ -716,7 +746,7 @@ func (c *CPU) executeBundle(bundleAddr uint64, b *isa.Bundle, slot int) error {
 			return fmt.Errorf("cpu: unimplemented op %s at %#x", in.Op, pc)
 		}
 
-		c.retire(pc)
+		s += c.retireRun(pc, e.nops[s+1])
 	}
 	c.pc = bundleAddr + isa.BundleBytes
 	return nil
@@ -783,6 +813,42 @@ func (c *CPU) retire(pc uint64) {
 	if c.cycle >= c.sampleAt {
 		c.takeSample(pc)
 	}
+}
+
+// retireRun retires the instruction at pc together with the n no-effect
+// slots after it and returns how many of those it retired: all of them,
+// in the same add, when no sample is due; none when the instruction's own
+// retire takes a sample, so each nop then retires through dispatch.
+func (c *CPU) retireRun(pc uint64, n uint8) int {
+	if c.cycle < c.sampleAt {
+		c.Stats.Retired += uint64(n) + 1
+		return int(n)
+	}
+	c.retireSample(pc)
+	return 0
+}
+
+// nopRun retires a run of n no-effect slots whose retire no other one
+// shares — a bundle's leading run, or the run after a not-taken
+// conditional branch, which retires itself — and returns how many it
+// retired: n when no sample is due, otherwise none, leaving the first of
+// them to take the sample.
+func (c *CPU) nopRun(n uint8) int {
+	if c.cycle < c.sampleAt {
+		c.Stats.Retired += uint64(n)
+		return int(n)
+	}
+	return 0
+}
+
+// retireSample retires the instruction at pc, whose retire takes the
+// sample due: retireRun's slow path, kept out of line so retireRun
+// inlines into executeBundle.
+//
+//go:noinline
+func (c *CPU) retireSample(pc uint64) {
+	c.Stats.Retired++
+	c.takeSample(pc)
 }
 
 func (c *CPU) takeSample(pc uint64) {

@@ -12,7 +12,7 @@ import (
 	"repro/internal/program"
 )
 
-// TestRunErrorReportsCurrentCycles pins the step()-error path of
+// TestRunErrorReportsCurrentCycles pins the error path of
 // RunContext: a program that faults mid-run (here by running off the end
 // of its segment into unmapped space) must still report the cycle count
 // at the fault, not the stale value from the previous Stats refresh.

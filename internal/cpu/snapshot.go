@@ -18,7 +18,7 @@ import (
 // the snapshot's so the restored schedule is meaningful).
 //
 // Snapshots are taken at hook boundaries (OnHookBoundary): the capture
-// runs before the due hooks fire, and a restored machine's first step
+// runs before the due hooks fire, and a restored machine's first bundle
 // re-enters the same boundary and fires the same due hooks — under its
 // own hook closures, which is what lets a fork continuation re-make the
 // pending policy decision with a different configuration.

@@ -61,6 +61,11 @@ func TestCPUSnapshotFieldCoverage(t *testing.T) {
 		"pre":      "derived from the code space, kept coherent by change hooks",
 		"modelI":   "derived from cfg",
 		"l1iShift": "derived from cfg",
+		"l1i":      "wired: the hierarchy's L1I, restored in place by its snapshot",
+		"l1d":      "wired: the hierarchy's L1D, restored in place by its snapshot",
+		"l2":       "wired: the hierarchy's L2, restored in place by its snapshot",
+		"l1iLat":   "derived from the hierarchy's config",
+		"l1dLat":   "derived from the hierarchy's config",
 		"l2HitLat": "derived from the hierarchy's config",
 		"sampleAt": "derived from the PMU's schedule, re-read by Reset, Restore and RunContext",
 	})

@@ -201,6 +201,11 @@ type Job struct {
 	Name    string // display label for progress output
 	Compile CompileSpec
 	Config  RunConfig
+	// Build, when set, is Compile's build, already made through this
+	// engine's build cache (Cache().Build), and the job runs it without a
+	// second lookup. A driver that reads the builds its jobs ran sets it.
+	// Compile still keys the job's fork group and result-cache entry.
+	Build *compiler.BuildResult
 }
 
 // RunJobs executes the jobs on the worker pool and returns their results
@@ -424,7 +429,10 @@ func (e *Engine) runJob(ctx context.Context, sweep string, sweepStart time.Time,
 		cfg.Metrics = e.cfg.Metrics
 	}
 	var res *RunResult
-	build, err := e.cache.Build(j.Compile)
+	build, err := j.Build, error(nil)
+	if build == nil {
+		build, err = e.cache.Build(j.Compile)
+	}
 	if err == nil {
 		switch {
 		case sim != nil:

@@ -201,12 +201,25 @@ const table1CoverTarget = 0.98
 func RunTable1Context(ctx context.Context, cfg ExpConfig) (*Table1Result, error) {
 	e := cfg.engine()
 	benches := workloads.All(cfg.Scale)
+	// job looks spec up in the build cache once and hands the build to
+	// the job, so profile selection and the rows read the builds the runs
+	// used: one lookup per compile.
+	job := func(name string, spec CompileSpec, rc RunConfig) (Job, error) {
+		build, err := e.Cache().Build(spec)
+		if err != nil {
+			return Job{}, fmt.Errorf("%s: %w", name, err)
+		}
+		return Job{Name: name, Compile: spec, Config: rc, Build: build}, nil
+	}
 	// The profile comes from the un-prefetched (O2) binary: profiling the
 	// O3 binary would hide exactly the loops whose static prefetches work.
 	// Loop IDs are stable across levels.
 	train := make([]Job, len(benches))
 	for i, b := range benches {
-		train[i] = Job{Name: b.Name + "/profile", Compile: benchSpec(b, cfg.Scale, compiler.O2), Config: cfg.monitorConfig()}
+		var err error
+		if train[i], err = job(b.Name+"/profile", benchSpec(b, cfg.Scale, compiler.O2), cfg.monitorConfig()); err != nil {
+			return nil, err
+		}
 	}
 	profiles, _, err := e.RunJobs(ctx, "table1/profile", train)
 	if err != nil {
@@ -214,21 +227,19 @@ func RunTable1Context(ctx context.Context, cfg ExpConfig) (*Table1Result, error)
 	}
 
 	rows := make([]Table1Row, len(benches))
-	jobs := make([]Job, 0, 2*len(benches))
+	jobs := make([]Job, 2*len(benches))
 	for i, b := range benches {
-		noPf, err := e.Cache().Build(train[i].Compile)
-		if err != nil {
-			return nil, err
-		}
-		keep, coverage := selectLoops(profiles[i], noPf, table1CoverTarget)
+		keep, coverage := selectLoops(profiles[i], train[i].Build, table1CoverTarget)
 		o3 := benchSpec(b, cfg.Scale, compiler.O3)
 		filtered := o3
 		filtered.Options.PrefetchLoops = keep
 		rows[i] = Table1Row{Name: b.Name, ProfileCoverage: coverage}
-		jobs = append(jobs,
-			Job{Name: b.Name + "/o3", Compile: o3, Config: cfg.runConfig()},
-			Job{Name: b.Name + "/filtered", Compile: filtered, Config: cfg.runConfig()},
-		)
+		if jobs[2*i], err = job(b.Name+"/o3", o3, cfg.runConfig()); err != nil {
+			return nil, err
+		}
+		if jobs[2*i+1], err = job(b.Name+"/filtered", filtered, cfg.runConfig()); err != nil {
+			return nil, err
+		}
 	}
 	runs, _, err := e.RunJobs(ctx, "table1/o3", jobs)
 	if err != nil {
@@ -236,14 +247,7 @@ func RunTable1Context(ctx context.Context, cfg ExpConfig) (*Table1Result, error)
 	}
 
 	for i := range rows {
-		full, err := e.Cache().Build(jobs[2*i].Compile)
-		if err != nil {
-			return nil, err
-		}
-		filtered, err := e.Cache().Build(jobs[2*i+1].Compile)
-		if err != nil {
-			return nil, err
-		}
+		full, filtered := jobs[2*i].Build, jobs[2*i+1].Build
 		base, filt := runs[2*i], runs[2*i+1]
 		r := &rows[i]
 		r.LoopsO3 = full.LoopsPrefetched

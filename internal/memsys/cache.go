@@ -76,9 +76,9 @@ type Cache struct {
 	lines    []cacheLine
 	// Per-set last-hit way memo: accesses that repeat a set's most recent
 	// line (struct-field runs on the data side, the alternating pair of
-	// I-lines of a straddling loop on the instruction side) skip the way
-	// scan. Purely a prediction — it is validated against the indexed
-	// tag+valid state before use, so Fill need not clear it,
+	// I-lines of a straddling loop on the instruction side) are ReadyHit's
+	// and skip the way scan. Purely a prediction — it is validated against
+	// the indexed tag+valid state before use, so Fill need not clear it,
 	// and it never changes hit/miss outcomes, LRU updates or statistics.
 	lastWay []uint8
 	// Victim hint: every hierarchy fill is preceded by the missing access
@@ -167,49 +167,92 @@ func (c *Cache) accessPf(now uint64, addr uint64) (hit bool, readyAt uint64) {
 	return c.access(now, addr, false, false)
 }
 
-func (c *Cache) access(now uint64, addr uint64, isWrite, demand bool) (hit bool, readyAt uint64) {
+// ReadyHit is the front of every access: when the set's memo way (the
+// lastWay entry) holds addr's valid line, its fill has completed by now
+// and — for a demand access — no prefetch mark waits to be consumed, it
+// performs the access as a hit and reports true. That outcome is the
+// level's hit latency and nothing else, so a caller that needs only the
+// latency (the CPU's fetch, load, store and lfetch paths) is done. Any
+// other case changes nothing and reports false; the caller then takes the
+// full path (access), which starts with the same two steps.
+func (c *Cache) ReadyHit(now uint64, addr uint64, isWrite, demand bool) bool {
+	tag := addr >> c.lineBits
+	l := c.readyMemo(now, tag, int(tag&c.setMask), demand)
+	if l == nil {
+		return false
+	}
+	c.readyHit(l, isWrite)
+	return true
+}
+
+// readyMemo returns the line ReadyHit takes for an access to tag in set,
+// or nil. It and readyHit are small enough to inline, so access starts
+// with ReadyHit's logic without a call.
+func (c *Cache) readyMemo(now, tag uint64, set int, demand bool) *cacheLine {
+	l := &c.lines[set*c.assoc+int(c.lastWay[set])]
+	if l.tag != tag || l.meta&flagValid == 0 || l.ready > now || (demand && l.meta&flagPf != 0) {
+		return nil
+	}
+	return l
+}
+
+// readyHit does a ready memo hit's bookkeeping on l: the access and hit
+// counts, the LRU stamp, and the dirty bit on a store.
+func (c *Cache) readyHit(l *cacheLine, isWrite bool) {
 	c.Stats.Accesses++
+	c.Stats.Hits++
 	c.useTick++
+	f := l.meta & flagMask
+	if isWrite {
+		f |= flagDirty
+	}
+	l.meta = c.useTick<<metaUseShift | f
+}
+
+func (c *Cache) access(now uint64, addr uint64, isWrite, demand bool) (hit bool, readyAt uint64) {
 	tag := addr >> c.lineBits
 	set := int(tag & c.setMask)
+	if l := c.readyMemo(now, tag, set, demand); l != nil {
+		c.readyHit(l, isWrite)
+		return true, l.ready
+	}
+	c.Stats.Accesses++
+	c.useTick++
 	base := set * c.assoc
-	// Memo probe first, then the way scan, fused here (rather than calling
-	// lookup) to keep the L1 hit — the most frequent operation the whole
-	// simulator performs — at one call from the hierarchy.
-	l := &c.lines[base+int(c.lastWay[set])]
-	if !(l.tag == tag && l.meta&flagValid != 0) {
-		l = nil
-		ways := c.lines[base : base+c.assoc]
-		// The scan doubles as Fill's victim selection (see the victim
-		// hint fields): first invalid way, else least-recently-used.
-		// Ways past the first invalid one are skipped exactly as Fill's
-		// scan breaks there.
-		victim, bestUse := 0, ^uint64(0)
-		invalidFound := false
-		for w := range ways {
-			m := ways[w].meta
-			if ways[w].tag == tag && m&flagValid != 0 {
-				c.lastWay[set] = uint8(w)
-				l = &ways[w]
-				break
-			}
-			if !invalidFound {
-				if m&flagValid == 0 {
-					invalidFound = true
-					victim = w
-				} else if m>>metaUseShift < bestUse {
-					victim = w
-					bestUse = m >> metaUseShift
-				}
+	// ReadyHit declined the memo way, so scan the ways (fused here rather
+	// than calling lookup). addr's line may still be the memo's, with a
+	// fill in flight or a prefetch mark to consume; the scan finds it
+	// there like in any other way.
+	var l *cacheLine
+	ways := c.lines[base : base+c.assoc]
+	// The scan doubles as Fill's victim selection (see the victim hint
+	// fields): first invalid way, else least-recently-used. Ways past the
+	// first invalid one are skipped exactly as Fill's scan breaks there.
+	victim, bestUse := 0, ^uint64(0)
+	invalidFound := false
+	for w := range ways {
+		m := ways[w].meta
+		if ways[w].tag == tag && m&flagValid != 0 {
+			c.lastWay[set] = uint8(w)
+			l = &ways[w]
+			break
+		}
+		if !invalidFound {
+			if m&flagValid == 0 {
+				invalidFound = true
+				victim = w
+			} else if m>>metaUseShift < bestUse {
+				victim = w
+				bestUse = m >> metaUseShift
 			}
 		}
-		if l == nil {
-			c.Stats.Misses++
-			c.victimIdx = victim
-			c.victimBase = base
-			c.victimTick = c.useTick
-			return false, 0
-		}
+	}
+	if l == nil {
+		c.Stats.Misses++
+		c.victimIdx = victim
+		c.victimBase = base
+		c.victimTick = c.useTick
+		return false, 0
 	}
 	f := l.meta & flagMask
 	if isWrite {
